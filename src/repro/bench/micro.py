@@ -7,7 +7,7 @@ Each topic exercises one layer with a fixed, deterministic workload:
 - ``record_ops`` — cell encode + LWW compare/merge throughput of the
   record model (what every replica write and quorum merge pays);
 - ``message_rpc`` — coordinator → replica request/response round trips
-  through the simulated network and a node's dispatch/CPU path;
+  through the simulated network and a node's serve/CPU path;
 - ``propagation_chain`` — full Algorithm 1/2 view propagation driven one
   update at a time, measuring simulated end-to-end propagation latency.
 """
@@ -78,7 +78,7 @@ def record_ops(params: BenchParams) -> TopicResult:
 def message_rpc(params: BenchParams) -> TopicResult:
     """Coordinator→replica message path: sequential write round trips.
 
-    One op = one ``WriteRequest`` RPC (request delay, dispatch + CPU
+    One op = one ``WriteRequest`` RPC (request delay, serve + CPU
     charge at the replica, response delay) awaited to completion.
     """
     from repro.cluster import Cluster, ClusterConfig

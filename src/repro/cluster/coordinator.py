@@ -222,14 +222,14 @@ class Coordinator:
     def put(self, table: str, key: Hashable, cells: Dict[ColumnName, Cell],
             w: int):
         """Quorum Put: returns once W replicas have acknowledged."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge_cpu(self.config.service.coordinator)
         collector = self.scatter_write(table, key, cells, w)
         yield collector.wait(w)
 
     def get(self, table: str, key: Hashable,
             columns: Tuple[ColumnName, ...], r: int):
         """Quorum Get: merged per-column cells from the first R responses."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge_cpu(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
         merged = self._merge_columns(columns, responses)
@@ -239,7 +239,7 @@ class Coordinator:
 
     def get_row(self, table: str, key: Hashable, r: int):
         """Quorum whole-row Get: merged cells of every column seen."""
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge_cpu(self.config.service.coordinator)
         collector = self.scatter_read_row(table, key, r)
         responses = yield collector.wait(r)
         merged: Dict[ColumnName, Cell] = {}
@@ -259,7 +259,7 @@ class Coordinator:
         broadcast to all servers because fragments are partitioned by
         primary key, and the coordinator must wait for all of them.
         """
-        yield from self.node._use_cpu(self.config.service.coordinator)
+        yield self.node.charge_cpu(self.config.service.coordinator)
         nodes = [node for node in self.cluster.nodes if not node.is_down]
         if not nodes:
             raise UnavailableError("no nodes alive for index read")

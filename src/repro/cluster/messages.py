@@ -1,8 +1,8 @@
 """Request/response message types exchanged between nodes.
 
-Requests are dispatched by :meth:`StorageNode.dispatch`; each request type
-has a matching handler that charges the node's CPU and operates on its
-local storage engine.  Responses are plain dataclasses.
+Requests are served by :meth:`StorageNode.serve`; each request type has
+a matching handler that charges the node's CPU and operates on its local
+storage engine.  Responses are plain dataclasses.
 """
 
 from __future__ import annotations

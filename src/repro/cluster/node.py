@@ -1,10 +1,27 @@
 """A storage node: local engine + CPU + request handlers.
 
-Each node owns an in-memory :class:`LocalStorageEngine`, a CPU modelled as
-a :class:`Resource` with ``cores_per_node`` slots, and the local fragments
-of any native secondary indexes.  Handlers charge the CPU for a
-service-time interval and then perform the storage operation atomically
-(no yields between reading and writing local state).
+Each node owns an in-memory :class:`LocalStorageEngine`, a CPU of
+``cores_per_node`` cores, and the local fragments of any native secondary
+indexes.
+
+Callback serving.  A request is served by :meth:`StorageNode.serve` as a
+callback chain, not a :class:`Process`: the handler computes its CPU cost
+and charges it at once, and the charge's completion event runs the rest —
+read or apply local state (atomically, nothing else runs in between) and
+settle the caller's ``reply`` event.  Serving inline keeps event order:
+the network calls ``serve`` from a NORMAL-priority delivery timer, so no
+URGENT event can be pending at that instant and a process started there
+would have run next anyway.  The reply is settled with
+:meth:`Event.settle`, which runs the waiter inline only when no other
+event is due now — exactly where a process's end event would have fired.
+
+The CPU.  :class:`CoreQueue` queues charges FIFO across the cores and
+computes each start at arrival (``start = max(now, earliest core-free
+time)``, the Kiefer–Wolfowitz recursion), scheduling one completion event
+at the absolute end time.  That is the schedule a ``Resource`` with
+``request()``/``release()`` produced, without its grant events.  The
+coordinator, the view manager and deferred write work charge the same
+queue through :meth:`StorageNode.charge_cpu`.
 """
 
 from __future__ import annotations
@@ -30,8 +47,8 @@ from repro.cluster.storage import LocalStorageEngine
 from repro.common.records import Cell, ColumnName
 from repro.errors import ClusterError
 from repro.index import IndexSchema, LocalIndexFragment
-from repro.sim.kernel import Environment, Timeout
-from repro.sim.resources import Resource
+from repro.sim.kernel import Environment, Event
+from repro.sim.resources import CoreQueue
 
 __all__ = ["StorageNode"]
 
@@ -45,7 +62,7 @@ class StorageNode:
         self.node_id = node_id
         self.config = config
         self.service = config.service
-        self.cpu = Resource(env, capacity=config.cores_per_node)
+        self.cpu = CoreQueue(env, capacity=config.cores_per_node)
         self.engine = LocalStorageEngine()
         self.index_schema = index_schema
         self._fragments: Dict[Tuple[str, ColumnName], LocalIndexFragment] = {}
@@ -112,44 +129,80 @@ class StorageNode:
 
     # -- CPU accounting -------------------------------------------------------------
 
-    def _use_cpu(self, duration: float):
-        """Charge ``duration`` ms of CPU, queuing behind other work.
+    def charge_cpu(self, duration: float) -> Event:
+        """Charge ``duration`` ms of CPU; the event fires when it is done.
 
-        Inlines :meth:`Resource.use` (uncontended fast path included):
-        CPU charges are the innermost loop of every request handler, and
-        the nested ``use`` generator showed up in profiles.
+        The work queues FIFO behind earlier charges on this node's cores
+        (:class:`CoreQueue`), so the completion time is known at once.
+        Processes ``yield`` the event; background work ignores it.
         """
         if self.cpu_slowdown != 1.0:
             duration *= self.cpu_slowdown
         self.busy_time += duration
-        cpu = self.cpu
-        if cpu._in_use < cpu.capacity:
-            cpu._in_use += 1
-        else:
-            yield cpu.request()
-        try:
-            yield Timeout(self.env, duration)
-        finally:
-            cpu.release()
+        return self.cpu.charge(duration)
 
-    # -- dispatch -------------------------------------------------------------------
+    # -- serving ---------------------------------------------------------------------
+
+    def serve(self, request, reply: Event) -> None:
+        """Handle ``request`` and settle ``reply`` with the response.
+
+        The handler computes its CPU cost and charges it now; when the
+        charge completes it reads or applies local state and settles
+        ``reply`` with the response, or fails it with the exception that
+        storage operation raised.  Errors found before the charge (an
+        unknown request type, table or index) raise here instead, and no
+        CPU is charged.
+        """
+        self.requests_handled += 1
+        service = self.service
+        if isinstance(request, WriteRequest):
+            cost = (service.write_cost(len(request.cells))
+                    + self._index_maintenance_cost(request.table,
+                                                   request.cells))
+            finish = self._write
+        elif isinstance(request, ReadRequest):
+            cost = service.read_cost(len(request.columns))
+            finish = self._read
+        elif isinstance(request, ReadRowRequest):
+            cells = self.engine.read_row(request.table, request.key)
+            cost = service.read_cost(max(1, len(cells)))
+            finish = self._read_row
+        elif isinstance(request, GetThenPutRequest):
+            cost = (service.read_cost(len(request.read_columns))
+                    + service.write_cost(len(request.cells))
+                    + self._index_maintenance_cost(request.table,
+                                                   request.cells))
+            finish = self._get_then_put
+        elif isinstance(request, IndexScanRequest):
+            fragment = self.fragment(request.table, request.column)
+            matches = fragment.lookup(request.value)
+            cost = (service.index_scan
+                    + service.per_cell * len(matches) * len(request.columns))
+            finish = self._index_scan
+        elif isinstance(request, RepairReadRequest):
+            cells = self.engine.read_row(request.table, request.key)
+            cost = service.read_cost(max(1, len(cells)))
+            finish = self._repair_read
+        else:
+            raise ClusterError(
+                f"unknown request type {type(request).__name__}")
+
+        def complete(_event: Event) -> None:
+            try:
+                response = finish(request)
+            except Exception as exc:  # the storage operation failed
+                reply.settle(exc, ok=False)
+            else:
+                reply.settle(response)
+
+        self.charge_cpu(cost).callbacks.append(complete)
 
     def dispatch(self, request):
-        """Handle ``request``; a generator returning the response."""
-        self.requests_handled += 1
-        if isinstance(request, WriteRequest):
-            return self._handle_write(request)
-        if isinstance(request, ReadRequest):
-            return self._handle_read(request)
-        if isinstance(request, ReadRowRequest):
-            return self._handle_read_row(request)
-        if isinstance(request, GetThenPutRequest):
-            return self._handle_get_then_put(request)
-        if isinstance(request, IndexScanRequest):
-            return self._handle_index_scan(request)
-        if isinstance(request, RepairReadRequest):
-            return self._handle_repair_read(request)
-        raise ClusterError(f"unknown request type {type(request).__name__}")
+        """Generator adapter over :meth:`serve` for use inside a process:
+        ``response = yield from node.dispatch(request)``."""
+        reply = Event(self.env)
+        self.serve(request, reply)
+        return (yield reply)
 
     # -- handlers -----------------------------------------------------------------
 
@@ -173,79 +226,41 @@ class StorageNode:
         # this node's CPU asynchronously, off the acknowledgement path.
         background = self.service.write_background
         if background > 0:
-            self._charge_cpu_background(background)
+            self.charge_cpu(background)
         return bool(changed)
 
-    def _charge_cpu_background(self, duration: float) -> None:
-        """Charge ``duration`` ms of CPU with no waiter.
+    # The finishers run when a request's CPU charge completes; each works
+    # on local state atomically and returns the response.
 
-        Equivalent to ``env.process(self._use_cpu(duration))`` but as a
-        timer callback chain — background write work happens once per
-        replica write, and the per-write wrapper process dominated its
-        own simulated cost.
-        """
-        if self.cpu_slowdown != 1.0:
-            duration *= self.cpu_slowdown
-        self.busy_time += duration
-        cpu = self.cpu
-
-        def release(_event) -> None:
-            cpu.release()
-
-        def hold(_event=None) -> None:
-            Timeout(self.env, duration).callbacks.append(release)
-
-        if cpu._in_use < cpu.capacity:
-            cpu._in_use += 1
-            hold()
-        else:
-            cpu.request().add_callback(hold)
-
-    def _handle_write(self, request: WriteRequest):
-        cost = (self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells))
-        yield from self._use_cpu(cost)
+    def _write(self, request: WriteRequest) -> WriteAck:
         applied = self._apply_write(request.table, request.key, request.cells)
         return WriteAck(self.node_id, applied)
 
-    def _handle_read(self, request: ReadRequest):
-        yield from self._use_cpu(self.service.read_cost(len(request.columns)))
+    def _read(self, request: ReadRequest) -> ReadResponse:
         cells = self.engine.read(request.table, request.key, request.columns)
         return ReadResponse(self.node_id, cells)
 
-    def _handle_read_row(self, request: ReadRowRequest):
-        cells = self.engine.read_row(request.table, request.key)
-        yield from self._use_cpu(self.service.read_cost(max(1, len(cells))))
-        # Re-read after the service delay so the response reflects the
-        # state at completion time (the delay models work, not staleness).
+    def _read_row(self, request: ReadRowRequest) -> ReadRowResponse:
+        # Read at completion so the response reflects the state then (the
+        # delay models work, not staleness).
         cells = self.engine.read_row(request.table, request.key)
         return ReadRowResponse(self.node_id, cells)
 
-    def _handle_get_then_put(self, request: GetThenPutRequest):
-        cost = (self.service.read_cost(len(request.read_columns))
-                + self.service.write_cost(len(request.cells))
-                + self._index_maintenance_cost(request.table, request.cells))
-        yield from self._use_cpu(cost)
-        # Read-then-write with no intervening yield: atomic at this replica.
+    def _get_then_put(self, request: GetThenPutRequest) -> GetThenPutResponse:
+        # Read-then-write in one step: atomic at this replica.
         pre = self.engine.read(request.table, request.key, request.read_columns)
         applied = self._apply_write(request.table, request.key, request.cells)
         return GetThenPutResponse(self.node_id, pre, applied)
 
-    def _handle_index_scan(self, request: IndexScanRequest):
-        fragment = self.fragment(request.table, request.column)
-        matches = fragment.lookup(request.value)
-        cost = (self.service.index_scan
-                + self.service.per_cell * len(matches) * len(request.columns))
-        yield from self._use_cpu(cost)
-        # Snapshot after the delay; lookup again for current truth.
-        matches = fragment.lookup(request.value)
+    def _index_scan(self, request: IndexScanRequest) -> IndexScanResponse:
+        # Look up again at completion for current truth.
+        matches = self.fragment(request.table, request.column).lookup(
+            request.value)
         result: Dict[Hashable, Dict[ColumnName, Optional[Cell]]] = {}
         for key in matches:
             result[key] = self.engine.read(request.table, key, request.columns)
         return IndexScanResponse(self.node_id, result)
 
-    def _handle_repair_read(self, request: RepairReadRequest):
-        cells = self.engine.read_row(request.table, request.key)
-        yield from self._use_cpu(self.service.read_cost(max(1, len(cells))))
+    def _repair_read(self, request: RepairReadRequest) -> RepairReadResponse:
         cells = self.engine.read_row(request.table, request.key)
         return RepairReadResponse(self.node_id, cells)

@@ -9,7 +9,7 @@ from repro.sim.latency import (
     ShiftedExponential,
     Uniform,
 )
-from repro.sim.resources import Resource, Semaphore, Store
+from repro.sim.resources import CoreQueue, Resource, Semaphore, Store
 from repro.sim.rng import RandomStreams, derive_seed
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
+    "CoreQueue",
     "Semaphore",
     "Store",
     "RandomStreams",

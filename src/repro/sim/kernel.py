@@ -2,9 +2,10 @@
 
 This module provides a small, deterministic, generator-based discrete-event
 simulation framework in the style of SimPy, written from scratch for this
-reproduction.  All cluster machinery (nodes, coordinators, clients, view
-propagators) runs as :class:`Process` coroutines over a shared
-:class:`Environment`.
+reproduction.  Coordinators, clients and view propagators run as
+:class:`Process` coroutines over a shared :class:`Environment`; storage
+nodes serve requests as callback chains on plain events (see
+:mod:`repro.cluster.node`), which costs no process per message.
 
 Core concepts
 -------------
@@ -33,12 +34,35 @@ Determinism: events scheduled for the same instant fire in scheduling order
 (FIFO, via a monotone sequence counter in the heap entry), so a simulation
 with a fixed RNG seed is fully reproducible.
 
+Inline delivery
+---------------
+
+:meth:`Event.settle` triggers an event and, when no other event is due
+at the current instant, runs its callbacks on the spot instead of
+pushing it on the heap.  That is the same order the heap would produce:
+a NORMAL event triggered now sorts after everything already due now and
+before everything due later, so if nothing is due now it would be the
+very next event popped.  When something *is* due now, ``settle`` falls
+back to :meth:`Event.succeed` / :meth:`Event.fail`, the same heap
+position as before.  The equivalence needs one more condition, which
+callers keep: ``settle`` must be the last action of a callback the kernel
+dispatched (popped off the heap, or itself run inline by ``settle``), and
+that callback must be its event's last one.  Anything the caller did
+after ``settle`` — or a later callback of the same event — would
+otherwise run *after* the settled event's callbacks instead of before.
+Calling it from inside a running process is an error: the process is
+mid-step, and resuming another process inline would interleave them.
+The RPC path (:mod:`repro.cluster.network`) uses it at each hand-off —
+handler result to network, response to waiters — which saves a heap
+event at each.
+
 Performance notes: this kernel is the hot path of every benchmark
-(``python -m repro.bench``, topic ``kernel_events``).  Event classes are
-``__slots__``-based, :class:`Timeout` initializes itself without chaining
-through ``Event.__init__``, and :meth:`Environment.run` drains the heap
-in an inlined loop (no per-event ``step()`` call, locals bound outside
-the loop).
+(``perfbench/run.py``; ``python -m repro.bench``, topic
+``kernel_events``).  Event classes are ``__slots__``-based,
+:class:`Timeout` initializes itself without chaining through
+``Event.__init__``, and :meth:`Environment.run` drains the heap in an
+inlined loop (no per-event ``step()`` call, locals bound outside the
+loop).  Inline delivery (above) removes heap round trips altogether.
 """
 
 from __future__ import annotations
@@ -149,6 +173,45 @@ class Event:
         env = self.env
         env._eid += 1
         heapq.heappush(env._heap, (env._now, NORMAL, env._eid, self))
+        return self
+
+    def settle(self, value: Any = None, ok: bool = True) -> "Event":
+        """Trigger the event, running its callbacks now if nothing else
+        is due at this instant.
+
+        With ``ok`` true this is :meth:`succeed` (``value`` is the
+        result), otherwise :meth:`fail` (``value`` is the exception).
+        If another event is due at the current time the event is
+        scheduled exactly as those methods would; otherwise it is
+        processed inline — callbacks run, then an unconsumed failure
+        escalates as :class:`ProcessError` — without a heap round trip
+        and without passing the event watcher.  Only call it as the last
+        action of a kernel-dispatched callback that is its event's last
+        callback, never from inside a running process (see the module
+        docstring for why that keeps event order).
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        if not ok and not isinstance(value, BaseException):
+            raise TypeError(f"{value!r} is not an exception")
+        env = self.env
+        if env._active is not None:
+            raise SimulationError(
+                "settle() called from inside a running process")
+        self._ok = ok
+        self._value = value
+        heap = env._heap
+        if heap and heap[0][0] <= env._now:
+            env._eid += 1
+            heapq.heappush(heap, (env._now, NORMAL, env._eid, self))
+            return self
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+        if not ok and not self._defused:
+            raise ProcessError(
+                f"unhandled failure in {self!r}: {value!r}") from value
         return self
 
     def defuse(self) -> "Event":

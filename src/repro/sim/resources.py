@@ -1,10 +1,15 @@
 """Shared-resource primitives for the simulation kernel.
 
-``Resource`` models a server with fixed capacity (e.g. the CPU cores of a
-storage node): processes ``yield resource.request()`` to acquire a slot,
-possibly queuing FIFO behind other requests, and call ``resource.release()``
-when done.  Queuing at resources is what produces realistic throughput
-saturation in the cluster experiments.
+``Resource`` models a server with fixed capacity: processes ``yield
+resource.request()`` to acquire a slot, possibly queuing FIFO behind other
+requests, and call ``resource.release()`` when done.
+
+``CoreQueue`` is the same FIFO multi-server queue for work whose duration
+is known when it arrives (the CPU cores of a storage node).  It computes
+each job's start at arrival (the Kiefer–Wolfowitz recursion) and schedules
+one completion event, so a queued job costs no grant event.  Queuing at
+the cores is what produces realistic throughput saturation in the cluster
+experiments.
 
 ``Store`` is an unbounded FIFO message queue: producers ``put`` items
 immediately, consumers ``yield store.get()`` and block until an item is
@@ -13,13 +18,14 @@ available.  Nodes use stores as their network inboxes.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import NORMAL, Environment, Event
 
-__all__ = ["Resource", "Store", "Semaphore"]
+__all__ = ["Resource", "CoreQueue", "Store", "Semaphore"]
 
 
 class Resource:
@@ -96,6 +102,49 @@ class Resource:
             yield self.env.timeout(duration)
         finally:
             self.release()
+
+
+class CoreQueue:
+    """A FIFO queue in front of ``capacity`` identical cores, scheduled at
+    arrival.
+
+    ``charge(duration)`` returns an event that fires when the job
+    finishes.  Jobs start in arrival order on the earliest-free core:
+    ``start = max(now, earliest core-free time)``, and that core is then
+    free at ``start + duration``.  For a FIFO multi-server queue this is
+    exactly the schedule :class:`Resource` produces with ``request()`` →
+    ``timeout(duration)`` → ``release()`` — the same start and completion
+    times, and the same completion order among its own jobs — but each
+    job is one heap event (its completion), where a queued ``Resource``
+    request costs two (the grant and the timer).  The completion is
+    scheduled at the absolute end time, never as ``now + (end - now)``,
+    which can round differently.  Jobs cannot be cancelled once charged.
+    """
+
+    __slots__ = ("env", "_free")
+
+    def __init__(self, env: Environment, capacity: int = 1):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        # Min-heap of the times each core becomes free.
+        self._free = [float("-inf")] * capacity
+
+    def charge(self, duration: float) -> Event:
+        """Queue a job of ``duration``; the event fires when it ends."""
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        env = self.env
+        free = self._free
+        start = free[0]
+        if start < env._now:
+            start = env._now
+        end = start + duration
+        heapq.heapreplace(free, end)
+        event = Event(env)
+        env._eid += 1
+        heapq.heappush(env._heap, (end, NORMAL, env._eid, event))
+        return event
 
 
 class Semaphore:

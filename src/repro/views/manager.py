@@ -251,7 +251,7 @@ class ViewManager:
             yield from coordinator.put(table, key, cells, w)
             return
 
-        yield from coordinator.node._use_cpu(self.config.service.coordinator)
+        yield coordinator.node.charge_cpu(self.config.service.coordinator)
         read_columns = tuple(dict.fromkeys(
             view.view_key_column for view in affected))
 
@@ -819,7 +819,7 @@ class ViewManager:
                         view_key: Any, columns: Tuple[ColumnName, ...],
                         r: int):
         """The cache + Algorithm 4 core, after barriers have run."""
-        yield from coordinator.node._use_cpu(self.config.service.coordinator)
+        yield coordinator.node.charge_cpu(self.config.service.coordinator)
         cache = self.skew.cache
         if cache.enabled:
             cached = cache.lookup(view.name, view_key, columns, r)

@@ -468,3 +468,88 @@ def test_defuse_after_trigger_also_suppresses_escalation():
     event.fail(RuntimeError("late defuse"))
     event.defuse()
     env.run()
+
+
+# ---------------------------------------------------------------------------
+# Event.settle: inline delivery
+# ---------------------------------------------------------------------------
+
+
+def test_settle_runs_callbacks_inline_when_nothing_is_due():
+    env = Environment()
+    watched = []
+    env.set_event_watcher(watched.append)
+    log = []
+    event = env.event()
+    event.callbacks.append(lambda e: log.append(("settled", env.now, e.value)))
+    timer = env.timeout(1.0)
+
+    def fire(_timer):
+        event.settle("v")
+        # Callbacks already ran: no heap round trip.
+        log.append(("after", event.processed))
+
+    timer.callbacks.append(fire)
+    env.timeout(2.0)
+    env.run()
+    assert log == [("settled", 1.0, "v"), ("after", True)]
+    assert event not in watched   # never popped off the heap
+
+
+def test_settle_falls_back_to_heap_order_when_another_event_is_due():
+    """An event due at the same instant runs first, exactly as if the
+    settled event had been triggered with succeed()."""
+    def run(trigger):
+        env = Environment()
+        log = []
+        event = env.event()
+        event.callbacks.append(lambda _e: log.append("settled"))
+        env.timeout(1.0).callbacks.append(lambda _t: trigger(event))
+        env.timeout(1.0).callbacks.append(lambda _t: log.append("peer"))
+        env.run()
+        return log
+
+    assert run(lambda event: event.settle()) == ["peer", "settled"]
+    assert run(lambda event: event.succeed()) == ["peer", "settled"]
+
+
+def test_settle_failure_reaches_waiter_and_escalates_unhandled():
+    env = Environment()
+    caught = []
+    event = env.event()
+
+    def waiter():
+        try:
+            yield event
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    env.process(waiter())
+    env.timeout(1.0).callbacks.append(
+        lambda _t: event.settle(ValueError("boom"), ok=False))
+    env.run()
+    assert caught == ["boom"]
+
+    lonely = env.event()
+    env.timeout(1.0).callbacks.append(
+        lambda _t: lonely.settle(ValueError("nobody"), ok=False))
+    with pytest.raises(ProcessError):
+        env.run()
+
+
+def test_settle_rejects_misuse():
+    env = Environment()
+    with pytest.raises(TypeError):
+        env.event().settle("not an exception", ok=False)
+    done = env.event()
+    done.succeed()
+    with pytest.raises(SimulationError):
+        done.settle()
+
+    def proc():
+        env.event().settle()
+        yield env.timeout(1.0)
+
+    process = env.process(proc())
+    with pytest.raises(SimulationError):
+        env.run(until=process)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Semaphore, Store
+from repro.sim import CoreQueue, Environment, Resource, Semaphore, Store
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,6 +90,66 @@ def test_resource_total_work_conserved(capacity, jobs):
     total = sum(jobs)
     assert env.now >= total / capacity - 1e-9
     assert env.now <= total + 1e-9
+
+
+# Coarse values make same-instant arrivals and tied completions common.
+_ARRIVALS = st.one_of(st.integers(min_value=0, max_value=8).map(lambda i: i * 0.5),
+                      st.floats(min_value=0.0, max_value=5.0,
+                                allow_nan=False))
+_DURATIONS = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.0]),
+                       st.floats(min_value=0.0, max_value=3.0,
+                                 allow_nan=False))
+
+
+def _resource_schedule(capacity, jobs, slowdown):
+    """Reference: request() -> timeout -> release() on a Resource."""
+    env = Environment()
+    resource = Resource(env, capacity=capacity)
+    done = []
+
+    def job(index, arrival, duration):
+        yield env.timeout(arrival)
+        yield resource.request()
+        yield env.timeout(duration * slowdown)
+        resource.release()
+        done.append((index, env.now))
+
+    for index, (arrival, duration) in enumerate(jobs):
+        env.process(job(index, arrival, duration))
+    env.run()
+    return done
+
+
+def _core_queue_schedule(capacity, jobs, slowdown):
+    env = Environment()
+    cores = CoreQueue(env, capacity=capacity)
+    done = []
+
+    def arrive(index, duration):
+        def charge(_timer):
+            cores.charge(duration * slowdown).callbacks.append(
+                lambda _event: done.append((index, env.now)))
+        return charge
+
+    for index, (arrival, duration) in enumerate(jobs):
+        env.timeout(arrival).callbacks.append(arrive(index, duration))
+    env.run()
+    return done
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=5),
+    jobs=st.lists(st.tuples(_ARRIVALS, _DURATIONS), min_size=1, max_size=30),
+    slowdown=st.one_of(st.just(1.0), st.sampled_from([1.5, 2.0, 3.0]),
+                       st.floats(min_value=1.0, max_value=4.0,
+                                 allow_nan=False)),
+)
+def test_core_queue_matches_resource_schedule(capacity, jobs, slowdown):
+    """The arrival-time queue reproduces the Resource's FIFO schedule:
+    exactly equal per-job completion times, in the same order."""
+    assert (_core_queue_schedule(capacity, jobs, slowdown)
+            == _resource_schedule(capacity, jobs, slowdown))
 
 
 @settings(max_examples=40, deadline=None)

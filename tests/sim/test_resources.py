@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Semaphore, Store
+from repro.sim import CoreQueue, Environment, Resource, Semaphore, Store
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,34 @@ def test_resource_queueing_produces_serial_throughput():
         env.process(job())
     env.run()
     assert finished == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# CoreQueue
+# ---------------------------------------------------------------------------
+
+
+def test_core_queue_validation():
+    env = Environment()
+    with pytest.raises(ValueError):
+        CoreQueue(env, capacity=0)
+    with pytest.raises(ValueError):
+        CoreQueue(env, capacity=1).charge(-1.0)
+
+
+def test_core_queue_schedules_fifo_at_arrival():
+    """Two cores: the third job starts when the first core frees, and its
+    completion time is known the moment it is charged."""
+    env = Environment()
+    cores = CoreQueue(env, capacity=2)
+    finished = []
+    for name, duration in (("a", 3.0), ("b", 5.0), ("c", 1.0)):
+        cores.charge(duration).callbacks.append(
+            lambda _event, name=name: finished.append((name, env.now)))
+    # One heap event per job, already at its completion time.
+    assert sorted(entry[0] for entry in env._heap) == [3.0, 4.0, 5.0]
+    env.run()
+    assert finished == [("a", 3.0), ("c", 4.0), ("b", 5.0)]
 
 
 # ---------------------------------------------------------------------------
