@@ -10,11 +10,10 @@ exactly that.
 Two targeted modes supplement the random loop:
 
 - ``targets`` restricts random victims to specific node ids — e.g. only
-  the nodes a workload uses as coordinators, stressing the propagation
-  driver rather than replica availability.
+  the nodes a workload uses as coordinators, stressing view maintenance
+  rather than replica availability.
 - :meth:`crash_during_propagation` arms a deterministic hook inside the
-  view manager's propagation path (the outbox consumer, or the inline
-  driver): matching propagations lose their
+  view manager's outbox consumer: matching propagations lose their
   coordinator mid-flight (the work vanishes with the coordinator's
   volatile state), which is the failure mode the repair subsystem
   (:mod:`repro.repair`) detects and heals.  Pass ``auto=False`` to build

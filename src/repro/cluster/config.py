@@ -115,11 +115,10 @@ class ClusterConfig:
     propagation_concurrency: str = "locks"
     # One round trip to the lock service per acquire/release (ms).
     lock_service_latency: float = 0.05
-    # How Puts hand work to view maintenance: "outbox" appends each
-    # committed Put to a per-node update log drained by background
-    # consumer processes (batching, per-(view, key) coalescing,
-    # queue-based load leveling); "inline" spawns one driver process per
-    # Put (the pre-outbox behavior, kept for comparison runs).
+    # How Puts hand work to view maintenance.  "outbox", the only
+    # accepted value, appends each committed Put to a per-node update
+    # log drained by background consumer processes (batching,
+    # per-(view, key) coalescing, queue-based load leveling).
     propagation_pipeline: str = "outbox"
     # Outbox consumer tuning: parallel consumer processes per node and
     # the maximum records one consumer claims per wakeup.
@@ -135,7 +134,7 @@ class ClusterConfig:
     propagation_retry_backoff_cap: float = 8.0
     propagation_max_rounds: int = 200
     # End-to-end deadline for one propagation, measured from the moment
-    # the update entered the pipeline (outbox append / driver spawn).
+    # the update entered the pipeline (its outbox append).
     # 0 disables.  A propagation still retrying past the deadline is
     # abandoned with PropagationDeadlineError — the mitigation for the
     # cross-coordinator guess-retry livelock on hot chains: a wedged
@@ -144,11 +143,10 @@ class ClusterConfig:
     # scrubber heals the row.  The first attempt always runs.
     propagation_deadline_ms: float = 0.0
 
-    # Skew-adaptive maintenance (repro.views.skew).  When enabled (and
-    # the pipeline is "outbox"), per-node decayed update counters
-    # classify (view, base key) chains heavy/light: a chain is promoted
-    # to lazy maintenance when its decayed count reaches
-    # ``skew_promote_threshold`` and demoted below
+    # Skew-adaptive maintenance (repro.views.skew).  When enabled,
+    # per-node decayed update counters classify (view, base key) chains
+    # heavy/light: a chain is promoted to lazy maintenance when its
+    # decayed count reaches ``skew_promote_threshold`` and demoted below
     # ``skew_demote_threshold`` (hysteresis); counts halve every
     # ``skew_decay_half_life`` ms.  Heavy-chain records fold into
     # per-chain delta buffers flushed every ``skew_fold_interval`` ms
@@ -209,9 +207,10 @@ class ClusterConfig:
                 f"or 'none', got {self.propagation_concurrency!r}")
         if self.lock_service_latency < 0:
             raise ValueError("lock_service_latency must be non-negative")
-        if self.propagation_pipeline not in ("outbox", "inline"):
+        if self.propagation_pipeline != "outbox":
             raise ValueError(
-                "propagation_pipeline must be 'outbox' or 'inline', "
+                "propagation_pipeline must be 'outbox' (the per-Put "
+                "'inline' driver was retired), "
                 f"got {self.propagation_pipeline!r}")
         if self.outbox_consumers < 1:
             raise ValueError("outbox_consumers must be >= 1")

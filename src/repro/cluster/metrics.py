@@ -40,7 +40,7 @@ class ClusterSnapshot:
     scrub_divergences_found: int = 0
     scrub_repairs_applied: int = 0
     # Outbox pipeline: records appended/coalesced so far and the current
-    # total queue depth across node outboxes (0 under the inline path).
+    # total queue depth across node outboxes.
     outbox_appended: int = 0
     outbox_coalesced: int = 0
     outbox_depth: int = 0
@@ -92,7 +92,7 @@ class ClusterSnapshot:
                    for node in cluster.nodes],
             messages_sent=cluster.network.messages_sent,
             messages_dropped=cluster.network.messages_dropped,
-            pending_propagations=(manager.pending_propagations
+            pending_propagations=(manager.outbox_pending()
                                   if manager else 0),
             completed_propagations=(manager.completed_propagations
                                     if manager else 0),

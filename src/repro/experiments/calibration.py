@@ -83,7 +83,7 @@ class ExperimentParams:
     outburst_capacity: int = 32
 
     # Extension E4 (ext_adversary): workload ops per cell of the
-    # adversary × pipeline scenario matrix.
+    # adversary scenario matrix.
     adversary_ops: int = 120
 
     # Extension E5 (ext_skew): Zipfian view-key updates, eager versus

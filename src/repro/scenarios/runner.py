@@ -60,13 +60,12 @@ class EventBudgetExceeded(RuntimeError):
     """The kernel processed more events than the scenario allows."""
 
 
-def default_config(*, seed: int = 0, pipeline: str = "outbox",
-                   **overrides) -> ClusterConfig:
+def default_config(*, seed: int = 0, **overrides) -> ClusterConfig:
     """The scenario harness's deterministic 4-node config.
 
     Fixed link latencies keep runs fast and make every source of
-    nondeterminism an explicit RNG stream; ``seed`` and the propagation
-    ``pipeline`` are the knobs the scenario matrix sweeps.
+    nondeterminism an explicit RNG stream; ``seed`` is the knob the
+    scenario matrix sweeps.
     """
     defaults: Dict[str, Any] = dict(
         nodes=4,
@@ -74,7 +73,6 @@ def default_config(*, seed: int = 0, pipeline: str = "outbox",
         client_link=Fixed(0.1),
         replica_link=Fixed(0.1),
         propagation_delay=Fixed(0.05),
-        propagation_pipeline=pipeline,
         seed=seed,
     )
     defaults.update(overrides)
@@ -198,7 +196,7 @@ class Scenario:
         while not self._monitor_stop:
             yield env.timeout(self.monitor_interval)
             self.max_pending_seen = max(self.max_pending_seen,
-                                        manager.pending_propagations)
+                                        manager.outbox_pending())
             self.max_locks_seen = max(self.max_locks_seen,
                                       manager.locks.active_locks)
 
@@ -215,7 +213,7 @@ class Scenario:
         # scrubber and monitor are still looping, so run_until_idle
         # would not terminate yet).
         for _round in range(self.max_settle_rounds):
-            if manager.pending_propagations == 0:
+            if manager.outbox_pending() == 0:
                 break
             self._run_window()
 
@@ -225,7 +223,7 @@ class Scenario:
 
         if scrubber is not None:
             for _round in range(self.max_settle_rounds):
-                if (manager.pending_propagations == 0
+                if (manager.outbox_pending() == 0
                         and not divergent_base_keys(cluster, self.view)):
                     break
                 self._run_window()
@@ -374,11 +372,10 @@ class Scenario:
             "adversaries": {adversary.label: adversary.describe()
                             for adversary in self.adversaries},
         }
-        if self.config.propagation_pipeline == "outbox":
-            outbox = manager.outbox_stats()
-            stats["outbox"] = {key: outbox[key]
-                               for key in ("appended", "coalesced", "depth",
-                                           "max_depth", "lag", "folded")}
+        outbox = manager.outbox_stats()
+        stats["outbox"] = {key: outbox[key]
+                           for key in ("appended", "coalesced", "depth",
+                                       "max_depth", "lag", "folded")}
         if manager.skew.enabled:
             stats["skew"] = manager.skew_stats()
         stats["freshness"] = manager.freshness_stats()

@@ -86,7 +86,7 @@ def state_digest(cluster, table: str) -> str:
     byte-identical converged state for ``table`` iff their digests are
     equal — regardless of which replica stores what.  Works for base
     tables and for view backing tables alike; the differential
-    (inline-vs-outbox) tests and the scenario fuzzer's determinism
+    (eager-vs-skew-adaptive) tests and the scenario fuzzer's determinism
     checks both rest on this.
     """
     rows: Dict[Any, Dict[ColumnName, Cell]] = {}
@@ -115,8 +115,8 @@ def live_state_digest(cluster, view: ViewDefinition) -> str:
     """Canonical SHA-256 of a view's *live* converged rows only.
 
     The semantic content of a view — everything Algorithm 4 can ever
-    return — ignoring stale chain residue and tombstones.  Two
-    pipelines that coalesce differently (outbox vs inline) produce
+    return — ignoring stale chain residue and tombstones.  Two runs that
+    coalesce differently (eager vs skew-adaptive folding) produce
     different backing-table bytes for the same history, because
     coalescing skips intermediate versions and their stale rows; their
     live digests must still be equal.

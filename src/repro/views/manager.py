@@ -8,23 +8,13 @@ coordinator needs when a base-table Put touches view-relevant columns
    versions, not just the latest) — combined with the Put into one
    replica round trip when ``combined_get_then_put`` is enabled;
 2. perform the base Put and acknowledge the client at W replicas;
-3. hand the update to the asynchronous propagation pipeline, which
-   drives ``PropagateUpdate`` (Algorithm 2), retrying over the collected
-   guesses until one succeeds.
-
-Step 3 has two implementations (``config.propagation_pipeline``):
-
-``"outbox"`` (default)
-    The Put appends a record to its coordinator node's
-    :class:`~repro.views.outbox.NodeOutbox`; per-node background
-    consumer processes drain the log in batches, coalescing superseded
-    same-``(view, key)`` updates on the way (see :mod:`repro.views.
-    outbox` for the log format and coalescing rule).  Session barriers
-    use outbox offsets rather than per-Put events.
-
-``"inline"``
-    The pre-outbox behavior: one driver process spawned per Put per
-    affected view, kept for comparison runs.
+3. append the update to its coordinator node's
+   :class:`~repro.views.outbox.NodeOutbox`; per-node background
+   consumer processes drain the log in batches, coalescing superseded
+   same-``(view, key)`` updates on the way (see :mod:`repro.views.
+   outbox` for the log format and coalescing rule), and drive
+   ``PropagateUpdate`` (Algorithm 2), retrying over the collected
+   guesses until one succeeds.  Session barriers use outbox offsets.
 
 Concurrency control per Section IV-F is pluggable: a per-base-row lock
 service (shared for materialized-column propagation, exclusive for
@@ -36,9 +26,9 @@ contending propagations de-synchronize instead of colliding every round.
 
 Coordinators bound their outstanding propagations
 (``max_pending_propagations``); base Puts block when the backlog is full,
-modelling the prototype's finite maintenance capacity.  In outbox mode
-the same bound covers queued plus in-flight records, and coalescing
-returns the superseded record's slot immediately.
+modelling the prototype's finite maintenance capacity.  The bound covers
+queued plus in-flight records, and coalescing returns the superseded
+record's slot immediately.
 """
 
 from __future__ import annotations
@@ -60,7 +50,6 @@ from repro.errors import (
 from repro.freshness.certificate import FreshnessTracker
 from repro.freshness.read import fresh_view_get
 from repro.freshness.slo import FreshnessSLO
-from repro.sim.resources import Semaphore
 from repro.views import read as view_read
 from repro.views.definition import ViewDefinition
 from repro.views.locks import LockService
@@ -106,10 +95,8 @@ class ViewManager:
         self._views: Dict[str, ViewDefinition] = {}
         self._joins: Dict[str, "JoinViewDefinition"] = {}
         self._by_table: Dict[str, List[ViewDefinition]] = {}
-        self._backpressure: Dict[int, Semaphore] = {}
         self._outboxes: Dict[int, NodeOutbox] = {}
         # Observability.
-        self._inline_pending = 0
         self.completed_propagations = 0
         self.lost_propagations = 0
         self.abandoned_propagations = 0
@@ -117,41 +104,32 @@ class ViewManager:
         self.folded_propagations = 0
         self.read_stats = view_read.ViewReadStats()
         # Fault-injection hooks (ChaosMonkey.crash_during_propagation):
-        # consulted once per consumed record (or per inline driver),
-        # after the scheduling delay but before Algorithm 2 runs; a hook
-        # returning True crashes the coordinator, losing the propagation.
+        # consulted once per consumed record, after the scheduling delay
+        # but before Algorithm 2 runs; a hook returning True crashes the
+        # coordinator, losing the propagation.
         self._crash_hooks: List[Callable] = []
-        if self.config.propagation_pipeline == "outbox":
-            # One log per node, drained by its own consumer pool.  Idle
-            # consumers block on unscheduled events, so they never keep
-            # run_until_idle() alive.
-            for node in cluster.nodes:
-                outbox = NodeOutbox(
-                    self.env, node.node_id,
-                    capacity=self.config.max_pending_propagations)
-                self._outboxes[node.node_id] = outbox
-                for index in range(self.config.outbox_consumers):
-                    self.env.process(
-                        self._consume_outbox(outbox),
-                        name=f"outbox-consumer:{node.node_id}:{index}")
+        # One log per node, drained by its own consumer pool.  Idle
+        # consumers block on unscheduled events, so they never keep
+        # run_until_idle() alive.
+        for node in cluster.nodes:
+            outbox = NodeOutbox(
+                self.env, node.node_id,
+                capacity=self.config.max_pending_propagations)
+            self._outboxes[node.node_id] = outbox
+            for index in range(self.config.outbox_consumers):
+                self.env.process(
+                    self._consume_outbox(outbox),
+                    name=f"outbox-consumer:{node.node_id}:{index}")
         # Skew-adaptive maintenance + hot-view cache (repro.views.skew);
         # inert (no processes, no cache) unless configured on.
         self.skew = SkewService(self)
         if self.skew.cache.enabled:
             self.maintainer.on_view_write = self.skew.cache.invalidate
         # Freshness subsystem (repro.freshness): staleness certificates
-        # derived from outbox/fold/inline/wound metadata, plus the SLO
+        # derived from outbox/fold/wound metadata, plus the SLO
         # accounting for bounded-staleness reads.
         self.freshness = FreshnessTracker(self)
         self.freshness_slo = FreshnessSLO()
-
-    @property
-    def pending_propagations(self) -> int:
-        """Propagations accepted but not yet resolved (queued, in-flight,
-        or folded into an unflushed delta), across both pipelines."""
-        return (self._inline_pending
-                + sum(outbox.depth for outbox in self._outboxes.values())
-                + self.skew.pending_chains())
 
     # -- registry -----------------------------------------------------------
 
@@ -242,8 +220,8 @@ class ViewManager:
         """Put with propagation; returns after W base-replica acks.
 
         Propagation to each affected view continues asynchronously; with
-        ``session`` the completion events are registered for the
-        Section V guarantee.
+        ``session`` the outbox offsets are registered for the Section V
+        guarantee.
         """
         affected = [view for view in self.views_on(table)
                     if view.affects(cells)]
@@ -279,56 +257,26 @@ class ViewManager:
         self.cluster.trace("base_put", "acked; scheduling propagation",
                            table=table, key=key, ts=base_ts,
                            views=[view.name for view in affected])
-        if self._outboxes:
-            outbox = self._outboxes[coordinator.node.node_id]
-            for view in affected:
-                # Back-pressure: block the Put while the node's outbox
-                # (queued + in-flight records) is full.
-                yield outbox.backpressure.acquire()
-                # The completion event resolves when the record's
-                # propagation does; session barriers use the outbox
-                # offset instead, so nobody is obligated to consume it.
-                completion = self.env.event().defuse()
-                before = outbox.coalesced
-                record = outbox.append(
-                    view, table, key, self._update_values(view, cells),
-                    base_ts, (collector, extract), completion)
-                if outbox.coalesced != before:
-                    self.cluster.trace(
-                        "outbox", "coalesced superseded update",
-                        view=view.name, key=key, seq=record.seq)
-                if session is not None:
-                    self.sessions.register_offset(session, view.name,
-                                                  outbox, record.seq)
-            return
-        backpressure = self._backpressure_for(coordinator.node.node_id)
+        outbox = self._outboxes[coordinator.node.node_id]
         for view in affected:
-            # Back-pressure: block the Put while the coordinator's
-            # propagation backlog is full.
-            yield backpressure.acquire()
-            completion = self.env.event()
+            # Back-pressure: block the Put while the node's outbox
+            # (queued + in-flight records) is full.
+            yield outbox.backpressure.acquire()
+            # The completion event resolves when the record's
+            # propagation does; session barriers use the outbox
+            # offset instead, so nobody is obligated to consume it.
+            completion = self.env.event().defuse()
+            before = outbox.coalesced
+            record = outbox.append(
+                view, table, key, self._update_values(view, cells),
+                base_ts, (collector, extract), completion)
+            if outbox.coalesced != before:
+                self.cluster.trace(
+                    "outbox", "coalesced superseded update",
+                    view=view.name, key=key, seq=record.seq)
             if session is not None:
-                self.sessions.register(session, view.name, completion)
-            else:
-                # Nobody is obligated to consume the completion event.
-                completion.defuse()
-            # Staleness clock starts at the ack, not at driver startup.
-            origin = self.env.now
-            pending_token = self.freshness.open_pending(view.name, key)
-            self.env.process(
-                self._propagation_driver(coordinator, view, table, key,
-                                         cells, base_ts, collector, extract,
-                                         completion, backpressure,
-                                         pending_token, origin),
-                name=f"propagate:{view.name}:{key!r}")
-
-    def _backpressure_for(self, coordinator_id: int) -> Semaphore:
-        semaphore = self._backpressure.get(coordinator_id)
-        if semaphore is None:
-            semaphore = Semaphore(self.env,
-                                  tokens=self.config.max_pending_propagations)
-            self._backpressure[coordinator_id] = semaphore
-        return semaphore
+                self.sessions.register_offset(session, view.name,
+                                              outbox, record.seq)
 
     # -- fault injection -----------------------------------------------------
 
@@ -336,9 +284,9 @@ class ViewManager:
         """Arm ``hook(coordinator, view, base_key, base_ts) -> bool``.
 
         Consulted once per asynchronous propagation — by the outbox
-        consumer after it has claimed the record (or by the inline
-        driver), once the view-key collection settles and the scheduling
-        delay elapses but before Algorithm 2 runs.  That is the window
+        consumer after it has claimed the record, once the view-key
+        collection settles and the scheduling delay elapses but before
+        Algorithm 2 runs.  That is the window
         in which a real coordinator crash silently loses the
         propagation: the record is already out of the log, the view not
         yet written.  A hook returning True raises
@@ -415,13 +363,7 @@ class ViewManager:
             coordinator = self.cluster.coordinator(outbox.node_id)
             self._maybe_crash(coordinator, view, key, base_ts)
 
-            seen: Dict[Any, ViewKeyGuess] = {}
-            for responses, extract in gathered:
-                for response in responses:
-                    cell = extract(response, view.view_key_column)
-                    self._merge_guess(seen, ViewKeyGuess.from_cell(view, cell))
-            guesses = sorted(seen.values(),
-                             key=lambda g: g.timestamp, reverse=True)
+            guesses = self._guesses(view, gathered)
             origin = record.appended_at
             self.freshness.eager_begin(view.name, key, outbox.node_id,
                                        origin, base_ts)
@@ -540,118 +482,33 @@ class ViewManager:
         stats["folded_propagations"] = self.folded_propagations
         return stats
 
-    # -- inline propagation driver (propagation_pipeline="inline") ---------------
-
-    def _propagation_driver(self, coordinator, view: ViewDefinition,
-                            table: str, key: Hashable,
-                            cells: Dict[ColumnName, Cell], base_ts: int,
-                            collector, extract, completion, backpressure,
-                            pending_token: Optional[int] = None,
-                            origin: Optional[float] = None):
-        self._inline_pending += 1
-        if origin is None:
-            origin = self.env.now
-        executor = ("inline", pending_token)
-        try:
-            # Keep collecting view keys from the remaining replicas
-            # (Alg. 1: propagation starts only after the Get has heard
-            # from all copies of the base row, or timed out).
-            responses = yield collector.settled
-            # Scheduling delay: maintenance work queues behind other
-            # maintenance work.
-            yield self.env.timeout(
-                self.config.propagation_delay.sample(self._rng))
-            self._maybe_crash(coordinator, view, key, base_ts)
-
-            update_values = self._update_values(view, cells)
-            guesses = self._guesses(view, responses, extract)
-            self.freshness.eager_begin(view.name, key, executor, origin,
-                                       base_ts)
-            success = False
-            try:
-                yield from self._propagate_with_retries(
-                    coordinator, view, table, key, guesses, update_values,
-                    base_ts, started_at=origin)
-                success = True
-            finally:
-                self.freshness.eager_end(view.name, key, executor, origin,
-                                         base_ts, success)
-            self.completed_propagations += 1
-            self.cluster.trace("propagation", "completed", view=view.name,
-                               key=key, ts=base_ts)
-            completion.succeed()
-        except CoordinatorCrashError as exc:
-            # The injected crash models a coordinator dying with the
-            # propagation only in its volatile state: the work is simply
-            # lost (no retry, no escalation) — exactly the divergence the
-            # repair subsystem (repro.repair) exists to detect and heal.
-            self.lost_propagations += 1
-            self.freshness.note_wound(view.name, key, origin, "crash-lost")
-            self.cluster.trace("propagation", "lost to coordinator crash",
-                               view=view.name, key=key, ts=base_ts)
-            if not completion.triggered:
-                completion.defuse()
-                completion.fail(exc)
-        except PropagationDeadlineError as exc:
-            self.abandoned_propagations += 1
-            self.deadline_abandoned_propagations += 1
-            self.freshness.note_wound(view.name, key, origin,
-                                      "deadline-abandoned")
-            self.cluster.trace("propagation", "abandoned by deadline",
-                               view=view.name, key=key, ts=base_ts)
-            if not completion.triggered:
-                completion.defuse()
-                completion.fail(exc)
-        except PropagationError as exc:
-            # Retries exhausted: the chain entry point this propagation
-            # needs never appeared — e.g. its predecessor's propagation
-            # was itself lost to a crash, so no guess is ever valid.
-            # Give up quietly; the row is now diverged and the scrubber
-            # re-drives it from the NULL anchor.
-            self.abandoned_propagations += 1
-            self.freshness.note_wound(view.name, key, origin,
-                                      "retries-abandoned")
-            self.cluster.trace("propagation", "abandoned after retries",
-                               view=view.name, key=key, ts=base_ts)
-            if not completion.triggered:
-                completion.defuse()
-                completion.fail(exc)
-        except Exception as exc:
-            if not completion.triggered:
-                completion.defuse()
-                completion.fail(exc)
-            raise
-        finally:
-            backpressure.release()
-            self._inline_pending -= 1
-            if pending_token is not None:
-                self.freshness.close_pending(pending_token)
-
     @staticmethod
-    def _merge_guess(seen: Dict[Any, ViewKeyGuess],
-                     guess: ViewKeyGuess) -> None:
-        """Deduplicate by key, keeping the max timestamp and preserving
+    def _merge_guesses(guesses) -> List[ViewKeyGuess]:
+        """Distinct view-key guesses, most recent timestamp first.
+
+        Deduplicates by key, keeping the max timestamp and preserving
         the pristine-NULL property: if ANY replica reported the view key
         as never-written, the NULL guess keeps its virtual-anchor
         fallback even when another replica already shows this update's
         own tombstone."""
-        existing = seen.get(guess.key)
-        if existing is None:
-            seen[guess.key] = guess
-        else:
-            seen[guess.key] = ViewKeyGuess(
-                guess.key,
-                max(existing.timestamp, guess.timestamp),
-                existing.allow_virtual or guess.allow_virtual)
-
-    def _guesses(self, view: ViewDefinition, responses,
-                 extract) -> List[ViewKeyGuess]:
-        """Distinct view-key guesses, most recent timestamp first."""
         seen: Dict[Any, ViewKeyGuess] = {}
-        for response in responses:
-            cell = extract(response, view.view_key_column)
-            self._merge_guess(seen, ViewKeyGuess.from_cell(view, cell))
+        for guess in guesses:
+            existing = seen.get(guess.key)
+            if existing is None:
+                seen[guess.key] = guess
+            else:
+                seen[guess.key] = ViewKeyGuess(
+                    guess.key,
+                    max(existing.timestamp, guess.timestamp),
+                    existing.allow_virtual or guess.allow_virtual)
         return sorted(seen.values(), key=lambda g: g.timestamp, reverse=True)
+
+    def _guesses(self, view: ViewDefinition, gathered) -> List[ViewKeyGuess]:
+        """Guesses from settled ``(responses, extract)`` round trips."""
+        column = view.view_key_column
+        return self._merge_guesses(
+            ViewKeyGuess.from_cell(view, extract(response, column))
+            for responses, extract in gathered for response in responses)
 
     def _propagate_with_retries(self, coordinator, view: ViewDefinition,
                                 table: str, key: Hashable,
@@ -713,11 +570,7 @@ class ViewManager:
                 # have propagated by now, giving us a valid entry point.
                 fresh = yield from self._refresh_guesses(
                     coordinator, view, table, key)
-                merged: Dict[Any, ViewKeyGuess] = {}
-                for guess in (*guesses, *fresh):
-                    self._merge_guess(merged, guess)
-                guesses[:] = sorted(merged.values(),
-                                    key=lambda g: g.timestamp, reverse=True)
+                guesses[:] = self._merge_guesses((*guesses, *fresh))
 
     def _retry_delay(self, rounds: int) -> float:
         """Backoff before retry round ``rounds + 1``: exponential from

@@ -317,8 +317,7 @@ class SkewService:
         self.cluster = manager.cluster
         self.env = manager.env
         config = manager.config
-        self.enabled = (config.skew_adaptive
-                        and config.propagation_pipeline == "outbox")
+        self.enabled = config.skew_adaptive
         self.cache = HotViewCache(config.view_cache_capacity)
         self.fold_interval = config.skew_fold_interval
         self.flush_max_attempts = config.skew_flush_max_attempts

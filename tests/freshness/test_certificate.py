@@ -154,18 +154,6 @@ def test_certificate_binds_to_oldest_source():
     assert cert.within(60.0) and not cert.within(59.9)
 
 
-def test_inline_pending_is_a_source():
-    tracker, clock = make_tracker()
-    clock.now = 10.0
-    token = tracker.open_pending("V", "k1")
-    clock.now = 35.0
-    cert = tracker.certificate("V")
-    assert cert.staleness_ms == 25.0
-    assert cert.provenance == "inline-pending"
-    tracker.close_pending(token)
-    assert tracker.certificate("V").is_fresh
-
-
 def test_lagging_keys_min_merges_per_key():
     sources = [
         StaleSource("k1", 40.0, "outbox-lag"),

@@ -15,7 +15,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import ClusterSnapshot
 from repro.views.definition import ViewDefinition
 
-PIPELINES = ("outbox", "inline")
+PIPELINES = ("outbox",)
 
 
 def build(pipeline, **overrides):

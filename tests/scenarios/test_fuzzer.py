@@ -17,6 +17,7 @@ from repro.scenarios import (
     save_reproducer,
     shrink_schedule,
 )
+from repro.scenarios.fuzzer import SCHEDULE_FORMAT
 
 pytestmark = pytest.mark.scenario
 
@@ -46,6 +47,10 @@ def test_schedule_format_version_checked():
     with pytest.raises(ValueError, match="format"):
         Schedule.from_dict({"format": 99, "seed": 0, "pipeline": "outbox",
                             "ops": [], "faults": []})
+    # The retired per-Put driver's reproducers no longer replay.
+    with pytest.raises(ValueError, match="inline"):
+        Schedule.from_dict({"format": SCHEDULE_FORMAT, "seed": 0,
+                            "pipeline": "inline", "ops": [], "faults": []})
 
 
 def test_replay_is_deterministic():

@@ -112,6 +112,8 @@ def test_config_validation():
         ClusterConfig(max_pending_propagations=0)
     with pytest.raises(ValueError):
         ClusterConfig(propagation_concurrency="bogus")
+    with pytest.raises(ValueError, match="inline.*retired"):
+        ClusterConfig(propagation_pipeline="inline")
     with pytest.raises(ValueError):
         ClusterConfig(cores_per_node=0)
     with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ def run_mode(adaptive, ops, *, seed=1, **skew_overrides):
         overrides.update(skew_overrides)
     scenario = Scenario(
         f"differential-{'adaptive' if adaptive else 'eager'}",
-        config=default_config(seed=seed, pipeline="outbox", **overrides),
+        config=default_config(seed=seed, **overrides),
         workload=ScheduleWorkload(ops),
         scrub=True,
     )

@@ -1,14 +1,17 @@
 """The outbox pipeline: coalescing, chain FIFO, backpressure, scrubber
 interaction, and observability.
 
-These tests run the full stack with ``propagation_pipeline="outbox"``
-(the default) and slow propagation delays so records pile up in the
-per-node logs while base Puts keep acking — the load-leveling behaviour
-the pipeline exists for.
+These tests run the full stack with slow propagation delays so records
+pile up in the per-node logs while base Puts keep acking — the
+load-leveling behaviour the pipeline exists for.
 """
+
+import pytest
 
 from repro.cluster import Cluster
 from repro.repair import divergent_base_keys
+from repro.scenarios import Scenario, default_config
+from repro.scenarios.fuzzer import ScheduleWorkload
 from repro.sim.latency import Fixed
 from repro.views import (
     ViewDefinition,
@@ -188,13 +191,36 @@ def test_outbox_stats_shape():
                              "low_watermark", "lag"}
 
 
-def test_inline_pipeline_still_supported():
-    """``propagation_pipeline="inline"`` restores the per-Put driver:
-    no outbox activity, same converged view."""
-    cluster = build(propagation_pipeline="inline")
-    populate(cluster, 3)
-    manager = cluster.view_manager
-    assert manager.outbox_stats()["appended"] == 0
-    assert manager.outbox_pending() == 0
-    assert manager.completed_propagations >= 3
-    assert check_view(cluster, VIEW) == []
+def _scheduled_puts(*, count, gap, keys=3, view_keys=4):
+    """A fixed history: ``count`` Puts, ``gap`` ms apart, cycling base
+    keys and view keys."""
+    return [{"t": 1.0 + i * gap, "kind": "put", "key": f"k{i % keys}",
+             "cells": {"vk": f"g{i % view_keys}", "m": f"m{i}"},
+             "ts": (i + 1) * 100}
+            for i in range(count)]
+
+
+@pytest.mark.scenario
+@pytest.mark.parametrize("count, gap, seeds, coalesces", [
+    pytest.param(36, 20.0, (1,), False, id="paced"),
+    pytest.param(40, 0.2, (1,), True, id="bursty"),
+    pytest.param(24, 20.0, (3, 8), None, id="seed-sweep"),
+])
+def test_scheduled_history_holds_invariants(count, gap, seeds, coalesces):
+    """Paced (no backlog) and bursty (coalescing) histories replayed
+    through the scenario harness: the standing invariant suite —
+    view-oracle agreement against :mod:`repro.views.model`, session
+    read-your-writes, outbox conservation — holds after quiescence."""
+    for seed in seeds:
+        scenario = Scenario(
+            f"outbox-history-{seed}",
+            config=default_config(seed=seed),
+            workload=ScheduleWorkload(_scheduled_puts(count=count, gap=gap)),
+            scrub=False,
+        )
+        result = scenario.run()
+        assert result.ok, (seed, result.violations[:5])
+        coalesced = scenario.cluster.view_manager.outbox_stats()["coalesced"]
+        # Non-vacuity: the paced history never coalesces, the burst does.
+        if coalesces is not None:
+            assert (coalesced > 0) == coalesces, coalesced

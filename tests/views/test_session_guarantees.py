@@ -162,7 +162,7 @@ def test_session_get_on_other_coordinator_rejected():
     cluster.run_until_idle()
 
 
-@pytest.mark.parametrize("pipeline", ["outbox", "inline"])
+@pytest.mark.parametrize("pipeline", ["outbox"])
 def test_session_get_survives_crashed_propagation(pipeline):
     """Regression: a coordinator crash that loses the session's pending
     propagation must *release* the barrier, not raise the propagation's
