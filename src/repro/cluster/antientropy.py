@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable, Set
 
-from repro.cluster.messages import RepairReadRequest, WriteRequest
+from repro.cluster.messages import (
+    RPC_TIMEOUT_MS,
+    RepairReadRequest,
+    WriteRequest,
+)
 from repro.common.records import Cell, ColumnName, cell_wins
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +39,7 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
               for replica in replicas]
     responses = []
     for event in events:
-        timer = cluster.env.timeout(cluster.config.rpc_timeout)
+        timer = cluster.env.timeout(RPC_TIMEOUT_MS)
         outcome = yield cluster.env.any_of([event, timer])
         if event in outcome:
             responses.append(outcome[event])
@@ -59,7 +63,7 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
             repaired += 1
             write = WriteRequest(table, key, missing)
             ack = cluster.network.rpc(replica.node_id, replica, write)
-            timer = cluster.env.timeout(cluster.config.rpc_timeout)
+            timer = cluster.env.timeout(RPC_TIMEOUT_MS)
             yield cluster.env.any_of([ack, timer])
     return repaired
 

@@ -77,15 +77,8 @@ class ClusterConfig:
     replica_link: LatencyModel = field(
         default_factory=lambda: ShiftedExponential(base=0.06, jitter_mean=0.02))
 
-    # Coordinator RPC timeout: a quorum operation fails if fewer than the
-    # required responses arrive within this budget.
-    rpc_timeout: float = 200.0
-
     # Probability that any single message is silently lost in transit.
     message_loss: float = 0.0
-
-    # Virtual nodes per physical node on the token ring.
-    virtual_nodes: int = 16
 
     # Eventual-delivery mechanisms ("mechanisms (not described here) that
     # ensure that all updates to a cell eventually reach every replica").
@@ -95,7 +88,6 @@ class ClusterConfig:
     # Hinted handoff: writes aimed at a down replica are parked as hints on
     # the coordinator and replayed when the replica returns.
     hinted_handoff: bool = True
-    hint_replay_interval: float = 20.0
 
     # View maintenance knobs (consumed by repro.views).
     # Maximum asynchronous propagations a coordinator may have in flight;
@@ -113,25 +105,14 @@ class ClusterConfig:
     # lock service), "propagators" (dedicated propagators via consistent
     # hashing), or "none" (unsafe under concurrent view-key updates).
     propagation_concurrency: str = "locks"
-    # One round trip to the lock service per acquire/release (ms).
-    lock_service_latency: float = 0.05
     # How Puts hand work to view maintenance.  "outbox", the only
     # accepted value, appends each committed Put to a per-node update
     # log drained by background consumer processes (batching,
     # per-(view, key) coalescing, queue-based load leveling).
     propagation_pipeline: str = "outbox"
-    # Outbox consumer tuning: parallel consumer processes per node and
-    # the maximum records one consumer claims per wakeup.
-    outbox_consumers: int = 2
-    outbox_batch_size: int = 8
-    # Backoff between rounds of view-key-guess retries in Algorithm 1:
-    # exponential starting at ``propagation_retry_backoff``, doubling per
-    # round up to ``propagation_retry_backoff_cap``, with deterministic
-    # jitter so contending propagations do not retry in lockstep.
-    # ``propagation_max_rounds`` caps the rounds before the propagation
-    # is abandoned loudly.
-    propagation_retry_backoff: float = 0.5
-    propagation_retry_backoff_cap: float = 8.0
+    # Rounds of view-key-guess retries in Algorithm 1 before the
+    # propagation is abandoned loudly (the backoff between rounds is
+    # fixed in repro.views.manager).
     propagation_max_rounds: int = 200
     # End-to-end deadline for one propagation, measured from the moment
     # the update entered the pipeline (its outbox append).
@@ -151,30 +132,16 @@ class ClusterConfig:
     # ``skew_decay_half_life`` ms.  Heavy-chain records fold into
     # per-chain delta buffers flushed every ``skew_fold_interval`` ms
     # (or earlier by a read), re-queueing on failure up to
-    # ``skew_flush_max_attempts`` before the chain is left to the
-    # scrubber.
+    # ``repro.views.skew.FLUSH_MAX_ATTEMPTS`` times before the chain is
+    # left to the scrubber.
     skew_adaptive: bool = False
     skew_promote_threshold: float = 8.0
     skew_demote_threshold: float = 2.0
     skew_decay_half_life: float = 50.0
     skew_fold_interval: float = 20.0
-    skew_flush_max_attempts: int = 12
     # Hot-view read-through cache capacity in result entries; 0 disables
     # the cache (repro.views.skew.HotViewCache).
     view_cache_capacity: int = 0
-
-    # Background view scrubber defaults (consumed by repro.repair).
-    # Base interval between scrub rounds; per-round row verification
-    # budget; Merkle-tree depth for range-level skip of clean ranges
-    # (2**depth buckets); minimum delay between two row verifications
-    # inside a round; and the interval multiplier applied while any node
-    # is down (a degraded cluster needs its quorum capacity for
-    # foreground traffic).
-    scrub_interval: float = 50.0
-    scrub_row_budget: int = 64
-    scrub_range_depth: int = 4
-    scrub_rate_limit: float = 0.1
-    scrub_degraded_backoff: float = 4.0
 
     # Freshness subsystem (repro.freshness).  A bounded-staleness read
     # that escalates compensates at most this many lagging base keys per
@@ -197,31 +164,17 @@ class ClusterConfig:
             raise ValueError("cores_per_node must be >= 1")
         if not 0.0 <= self.message_loss < 1.0:
             raise ValueError("message_loss must be in [0, 1)")
-        if self.rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
         if self.max_pending_propagations < 1:
             raise ValueError("max_pending_propagations must be >= 1")
         if self.propagation_concurrency not in ("locks", "propagators", "none"):
             raise ValueError(
                 "propagation_concurrency must be 'locks', 'propagators', "
                 f"or 'none', got {self.propagation_concurrency!r}")
-        if self.lock_service_latency < 0:
-            raise ValueError("lock_service_latency must be non-negative")
         if self.propagation_pipeline != "outbox":
             raise ValueError(
                 "propagation_pipeline must be 'outbox' (the per-Put "
                 "'inline' driver was retired), "
                 f"got {self.propagation_pipeline!r}")
-        if self.outbox_consumers < 1:
-            raise ValueError("outbox_consumers must be >= 1")
-        if self.outbox_batch_size < 1:
-            raise ValueError("outbox_batch_size must be >= 1")
-        if self.propagation_retry_backoff < 0:
-            raise ValueError("propagation_retry_backoff must be non-negative")
-        if self.propagation_retry_backoff_cap < self.propagation_retry_backoff:
-            raise ValueError(
-                "propagation_retry_backoff_cap must be >= "
-                "propagation_retry_backoff")
         if self.propagation_max_rounds < 1:
             raise ValueError("propagation_max_rounds must be >= 1")
         if self.propagation_deadline_ms < 0:
@@ -239,20 +192,8 @@ class ClusterConfig:
             raise ValueError("skew_decay_half_life must be positive")
         if self.skew_fold_interval <= 0:
             raise ValueError("skew_fold_interval must be positive")
-        if self.skew_flush_max_attempts < 1:
-            raise ValueError("skew_flush_max_attempts must be >= 1")
         if self.view_cache_capacity < 0:
             raise ValueError("view_cache_capacity must be non-negative")
-        if self.scrub_interval <= 0:
-            raise ValueError("scrub_interval must be positive")
-        if self.scrub_row_budget < 1:
-            raise ValueError("scrub_row_budget must be >= 1")
-        if not 0 <= self.scrub_range_depth <= 20:
-            raise ValueError("scrub_range_depth must be in [0, 20]")
-        if self.scrub_rate_limit < 0:
-            raise ValueError("scrub_rate_limit must be non-negative")
-        if self.scrub_degraded_backoff < 1.0:
-            raise ValueError("scrub_degraded_backoff must be >= 1")
 
     def with_overrides(self, **kwargs) -> "ClusterConfig":
         """A copy of this config with the given fields replaced."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from repro.cluster.messages import (
+    RPC_TIMEOUT_MS,
     GetThenPutRequest,
     IndexScanRequest,
     ReadRequest,
@@ -170,7 +171,7 @@ class Coordinator:
                                            replica.node_id, request)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
 
     def scatter_read(self, table: str, key: Hashable,
                      columns: Tuple[ColumnName, ...],
@@ -183,7 +184,7 @@ class Coordinator:
         request = ReadRequest(table, key, tuple(columns))
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
 
     def scatter_read_row(self, table: str, key: Hashable,
                          required: int) -> ResponseCollector:
@@ -195,7 +196,7 @@ class Coordinator:
         request = ReadRowRequest(table, key)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
 
     def scatter_get_then_put(self, table: str, key: Hashable,
                              cells: Dict[ColumnName, Cell],
@@ -215,7 +216,7 @@ class Coordinator:
                                            replica.node_id, write_only)
         events = [self.cluster.network.rpc(self.node.node_id, replica, request)
                   for replica in alive]
-        return ResponseCollector(self.env, events, self.config.rpc_timeout)
+        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
 
     # -- high-level operations ---------------------------------------------------
 
@@ -266,7 +267,7 @@ class Coordinator:
         request = IndexScanRequest(table, column, value, tuple(columns))
         events = [self.cluster.network.rpc(self.node.node_id, node, request)
                   for node in nodes]
-        collector = ResponseCollector(self.env, events, self.config.rpc_timeout)
+        collector = ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
         responses = yield collector.wait(len(nodes))
         # Merge per-key: replicas may disagree; LWW per cell.
         merged: Dict[Hashable, Dict[ColumnName, Cell]] = {}

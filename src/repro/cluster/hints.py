@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List
 
-from repro.cluster.messages import WriteAck, WriteRequest
+from repro.cluster.messages import RPC_TIMEOUT_MS, WriteAck, WriteRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
 __all__ = ["Hint", "HintService"]
+
+# Delay between replay passes while some hint is deliverable (ms).
+HINT_REPLAY_INTERVAL_MS = 20.0
 
 
 @dataclass
@@ -34,9 +37,8 @@ class Hint:
 class HintService:
     """Stores hints and replays them when targets recover."""
 
-    def __init__(self, cluster: "Cluster", replay_interval: float):
+    def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
-        self.replay_interval = replay_interval
         self._hints: List[Hint] = []
         self._replay_running = False
         self._recovery_wakeup = None
@@ -76,7 +78,7 @@ class HintService:
                 yield self._recovery_wakeup
                 self._recovery_wakeup = None
                 continue
-            yield env.timeout(self.replay_interval)
+            yield env.timeout(HINT_REPLAY_INTERVAL_MS)
             yield from self._replay_once()
         self._replay_running = False
 
@@ -87,7 +89,7 @@ class HintService:
             target = self.cluster.node(hint.target_id)
             event = self.cluster.network.rpc(hint.holder_id, target,
                                              hint.request)
-            timer = self.cluster.env.timeout(self.cluster.config.rpc_timeout)
+            timer = self.cluster.env.timeout(RPC_TIMEOUT_MS)
             outcome = yield self.cluster.env.any_of([event, timer])
             if event in outcome and isinstance(outcome[event], WriteAck):
                 hint.delivered = True

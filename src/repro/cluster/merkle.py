@@ -28,7 +28,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Hashable, List, Set
 
-from repro.cluster.messages import RepairReadRequest, WriteRequest
+from repro.cluster.messages import (
+    RPC_TIMEOUT_MS,
+    RepairReadRequest,
+    WriteRequest,
+)
 from repro.common.hashing import hash_key
 from repro.common.records import Cell, ColumnName, cell_wins
 
@@ -203,7 +207,7 @@ def merkle_repair(cluster, table: str, depth: int = 6):
         responses = []
         for replica in replicas:
             event = cluster.network.rpc(replica.node_id, replica, request)
-            timer = env.timeout(cluster.config.rpc_timeout)
+            timer = env.timeout(RPC_TIMEOUT_MS)
             outcome = yield env.any_of([event, timer])
             if event in outcome:
                 responses.append(outcome[event])
@@ -227,6 +231,6 @@ def merkle_repair(cluster, table: str, depth: int = 6):
                 write = cluster.network.rpc(
                     replica.node_id, replica, WriteRequest(table, key,
                                                            missing))
-                timer = env.timeout(cluster.config.rpc_timeout)
+                timer = env.timeout(RPC_TIMEOUT_MS)
                 yield env.any_of([write, timer])
     return (transferred, comparisons)

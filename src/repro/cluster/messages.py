@@ -13,6 +13,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.common.records import Cell, ColumnName
 
 __all__ = [
+    "RPC_TIMEOUT_MS",
     "WriteRequest",
     "WriteAck",
     "ReadRequest",
@@ -26,6 +27,11 @@ __all__ = [
     "RepairReadRequest",
     "RepairReadResponse",
 ]
+
+# How long a sender waits for replies to one request (ms): a quorum
+# operation fails if fewer than the required responses arrive in time,
+# and a repair or hint-replay RPC is given up on.
+RPC_TIMEOUT_MS = 200.0
 
 
 @dataclass(frozen=True, slots=True)

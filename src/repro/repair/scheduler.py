@@ -4,19 +4,19 @@ Modelled on the other background services (``AntiEntropyService``,
 ``StaleRowCollector``): a simulation process wakes every ``interval``
 ms, compares each target view's canonical digest trees, and for dirty
 hash ranges verifies rows with quorum reads and repairs confirmed
-divergences through the ordinary propagation machinery.  Knobs (all
-defaulted from :class:`~repro.cluster.config.ClusterConfig`):
+divergences through the ordinary propagation machinery.  Keyword
+arguments (defaults in parentheses):
 
-``interval``
+``interval`` (50 ms)
     Base delay between rounds.
-``row_budget``
+``row_budget`` (64)
     Maximum rows verified per round, shared across views; the
     token-range scanner's persistent cursor resumes next round.
-``range_depth``
+``range_depth`` (4)
     Merkle tree depth — ``2**depth`` hash buckets per view.
-``rate_limit``
+``rate_limit`` (0.1 ms)
     Minimum delay between two row verifications inside a round.
-``degraded_backoff``
+``degraded_backoff`` (4.0)
     Multiplier applied to ``interval`` while any node is down: a
     degraded cluster needs its quorum capacity for foreground traffic,
     and repairs issued during the outage would miss the down replicas
@@ -45,26 +45,19 @@ class ViewScrubber:
     """Periodic base↔view divergence detection and repair."""
 
     def __init__(self, cluster, view_names: Optional[List[str]] = None, *,
-                 interval: Optional[float] = None,
-                 row_budget: Optional[int] = None,
-                 range_depth: Optional[int] = None,
-                 rate_limit: Optional[float] = None,
-                 degraded_backoff: Optional[float] = None,
+                 interval: float = 50.0,
+                 row_budget: int = 64,
+                 range_depth: int = 4,
+                 rate_limit: float = 0.1,
+                 degraded_backoff: float = 4.0,
                  coordinator_id: int = 0):
-        config = cluster.config
         self.cluster = cluster
         self.view_names = list(view_names) if view_names is not None else None
-        self.interval = (interval if interval is not None
-                         else config.scrub_interval)
-        self.row_budget = (row_budget if row_budget is not None
-                           else config.scrub_row_budget)
-        self.range_depth = (range_depth if range_depth is not None
-                            else config.scrub_range_depth)
-        self.rate_limit = (rate_limit if rate_limit is not None
-                           else config.scrub_rate_limit)
-        self.degraded_backoff = (degraded_backoff
-                                 if degraded_backoff is not None
-                                 else config.scrub_degraded_backoff)
+        self.interval = interval
+        self.row_budget = row_budget
+        self.range_depth = range_depth
+        self.rate_limit = rate_limit
+        self.degraded_backoff = degraded_backoff
         self.coordinator_id = coordinator_id
         if self.interval <= 0:
             raise ValueError("interval must be positive")

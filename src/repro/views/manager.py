@@ -61,6 +61,34 @@ from repro.views.skew import SkewService
 
 __all__ = ["BackfillReport", "ViewManager"]
 
+# One round trip to the lock service per acquire/release (ms).
+LOCK_SERVICE_LATENCY_MS = 0.05
+# Consumer processes per node outbox, and the most records one consumer
+# claims per wakeup.
+OUTBOX_CONSUMERS = 2
+OUTBOX_BATCH_SIZE = 8
+# Backoff between Algorithm 1 retry rounds (ms): exponential from
+# RETRY_BACKOFF_MS, doubling per round up to RETRY_BACKOFF_CAP_MS.
+RETRY_BACKOFF_MS = 0.5
+RETRY_BACKOFF_CAP_MS = 8.0
+
+# How a claimed record that failed for good is accounted, most specific
+# exception first: counters bumped, wound provenance, trace message.  A
+# crash loses the claimed work (at-most-once); a deadline returns the
+# backpressure token instead of spinning out the round budget (the
+# hot-chain livelock mitigation); exhausted retries mean no guess ever
+# became a valid chain entry point.  Either way the row has diverged
+# and the scrubber (repro.repair) heals it.
+_FAILED_OUTCOMES = (
+    (CoordinatorCrashError, ("lost_propagations",), "crash-lost",
+     "lost to coordinator crash"),
+    (PropagationDeadlineError,
+     ("abandoned_propagations", "deadline_abandoned_propagations"),
+     "deadline-abandoned", "abandoned by deadline"),
+    (PropagationError, ("abandoned_propagations",), "retries-abandoned",
+     "abandoned after retries"),
+)
+
 
 @dataclass
 class BackfillReport:
@@ -87,7 +115,7 @@ class ViewManager:
         self.maintainer = ViewMaintainer(cluster)
         self.sessions = SessionManager(cluster.env)
         self.locks = LockService(cluster.env,
-                                 latency=self.config.lock_service_latency)
+                                 latency=LOCK_SERVICE_LATENCY_MS)
         self.propagators = (PropagatorPool(cluster)
                             if self.config.propagation_concurrency
                             == "propagators" else None)
@@ -116,7 +144,7 @@ class ViewManager:
                 self.env, node.node_id,
                 capacity=self.config.max_pending_propagations)
             self._outboxes[node.node_id] = outbox
-            for index in range(self.config.outbox_consumers):
+            for index in range(OUTBOX_CONSUMERS):
                 self.env.process(
                     self._consume_outbox(outbox),
                     name=f"outbox-consumer:{node.node_id}:{index}")
@@ -327,7 +355,7 @@ class ViewManager:
     def _consume_outbox(self, outbox: NodeOutbox):
         """One background consumer: drain the node's log in batches."""
         while True:
-            batch = yield from outbox.next_batch(self.config.outbox_batch_size)
+            batch = yield from outbox.next_batch(OUTBOX_BATCH_SIZE)
             for record in batch:
                 yield from self._process_record(outbox, record)
 
@@ -380,40 +408,16 @@ class ViewManager:
             self.cluster.trace("propagation", "completed", view=view.name,
                                key=key, ts=base_ts)
             record.resolve()
-        except CoordinatorCrashError as exc:
-            # The record was claimed before processing (at-most-once):
-            # the crash models a coordinator dying with the propagation
-            # only in its volatile state, so the work is simply lost (no
-            # retry, no escalation) — exactly the divergence the repair
-            # subsystem (repro.repair) exists to detect and heal.
-            self.lost_propagations += 1
+        except (CoordinatorCrashError, PropagationError) as exc:
+            counters, provenance, message = next(
+                outcome for error, *outcome in _FAILED_OUTCOMES
+                if isinstance(exc, error))
+            for counter in counters:
+                setattr(self, counter, getattr(self, counter) + 1)
             self.freshness.note_wound(view.name, key, record.appended_at,
-                                      "crash-lost")
-            self.cluster.trace("propagation", "lost to coordinator crash",
-                               view=view.name, key=key, ts=base_ts)
-            record.resolve(exc)
-        except PropagationDeadlineError as exc:
-            # Deadline abandonment: the mitigation for the hot-chain
-            # guess-retry livelock — give the token back instead of
-            # spinning out the round budget; the scrubber heals the row.
-            self.abandoned_propagations += 1
-            self.deadline_abandoned_propagations += 1
-            self.freshness.note_wound(view.name, key, record.appended_at,
-                                      "deadline-abandoned")
-            self.cluster.trace("propagation", "abandoned by deadline",
-                               view=view.name, key=key, ts=base_ts)
-            record.resolve(exc)
-        except PropagationError as exc:
-            # Retries exhausted: the chain entry point this propagation
-            # needs never appeared — e.g. its predecessor's propagation
-            # was itself lost to a crash, so no guess is ever valid.
-            # Give up quietly; the row is now diverged and the scrubber
-            # re-drives it from the NULL anchor.
-            self.abandoned_propagations += 1
-            self.freshness.note_wound(view.name, key, record.appended_at,
-                                      "retries-abandoned")
-            self.cluster.trace("propagation", "abandoned after retries",
-                               view=view.name, key=key, ts=base_ts)
+                                      provenance)
+            self.cluster.trace("propagation", message, view=view.name,
+                               key=key, ts=base_ts)
             record.resolve(exc)
         except Exception as exc:
             record.resolve(exc)
@@ -574,16 +578,13 @@ class ViewManager:
 
     def _retry_delay(self, rounds: int) -> float:
         """Backoff before retry round ``rounds + 1``: exponential from
-        ``propagation_retry_backoff``, capped at
-        ``propagation_retry_backoff_cap``, jittered into ``[d/2, d)`` by
-        the deterministic sim RNG.  A fixed interval would retry every
-        contending propagation in lockstep, re-colliding on the same
-        lock/chain state each round; the jitter spreads the wakeups."""
-        base = self.config.propagation_retry_backoff
-        if base <= 0:
-            return 0.0
-        delay = min(base * (2.0 ** (rounds - 1)),
-                    self.config.propagation_retry_backoff_cap)
+        ``RETRY_BACKOFF_MS``, capped at ``RETRY_BACKOFF_CAP_MS``,
+        jittered into ``[d/2, d)`` by the deterministic sim RNG.  A
+        fixed interval would retry every contending propagation in
+        lockstep, re-colliding on the same lock/chain state each round;
+        the jitter spreads the wakeups."""
+        delay = min(RETRY_BACKOFF_MS * (2.0 ** (rounds - 1)),
+                    RETRY_BACKOFF_CAP_MS)
         return delay * (0.5 + 0.5 * self._rng.random())
 
     def _attempt_round(self, coordinator, view: ViewDefinition,

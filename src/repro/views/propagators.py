@@ -32,7 +32,6 @@ class PropagatorPool:
         self.cluster = cluster
         self.env = cluster.env
         self.ring = TokenRing([node.node_id for node in cluster.nodes],
-                              virtual_nodes=cluster.config.virtual_nodes,
                               salt="propagators")
         # Tail of the job chain per (view, base key): the next job for the
         # same key waits for the previous one's completion.

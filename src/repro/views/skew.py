@@ -83,9 +83,11 @@ __all__ = [
 
 ChainKey = Tuple[str, Hashable]
 
-# Failures a flush rides out by re-queueing the delta for the next tick.
+# Failures a flush rides out by re-queueing the delta for the next tick,
+# up to FLUSH_MAX_ATTEMPTS failed flushes per delta.
 _FLUSH_RETRIABLE = (PropagationError, QuorumError, NodeDownError,
                     CoordinatorCrashError)
+FLUSH_MAX_ATTEMPTS = 12
 
 
 class UpdateFrequencyTracker:
@@ -320,7 +322,6 @@ class SkewService:
         self.enabled = config.skew_adaptive
         self.cache = HotViewCache(config.view_cache_capacity)
         self.fold_interval = config.skew_fold_interval
-        self.flush_max_attempts = config.skew_flush_max_attempts
         self._trackers: Dict[int, UpdateFrequencyTracker] = {}
         self._deltas: Dict[ChainKey, PendingDelta] = {}
         # chain -> (gate event, delta being flushed); readers that need
@@ -384,8 +385,7 @@ class SkewService:
         delta.folded += 1
         delta.last_folded_at = self.env.now
         delta.first_appended_at = min(delta.first_appended_at,
-                                      getattr(record, "appended_at",
-                                              self.env.now))
+                                      record.appended_at)
         self.folded_records += 1
         for view_key in self._affected_keys(view, record, gathered):
             delta.affected_keys.add(view_key)
@@ -539,7 +539,7 @@ class SkewService:
         """Flush one chain: repropagate the base row's current state.
 
         On a retriable failure the delta re-queues (merging with any
-        records folded meanwhile) until ``skew_flush_max_attempts``,
+        records folded meanwhile) until ``FLUSH_MAX_ATTEMPTS``,
         after which it is dropped — the chain is then ordinary
         divergence for the scrubber, exactly like an abandoned eager
         propagation.
@@ -568,15 +568,8 @@ class SkewService:
         except _FLUSH_RETRIABLE:
             delta.attempts += 1
             self.flush_failures += 1
-            if delta.attempts >= self.flush_max_attempts:
-                self.dropped_records += delta.folded
-                self.dropped_chains += 1
-                self.manager.freshness.note_wound(
-                    chain[0], chain[1], delta.first_appended_at,
-                    "flush-dropped")
-                self.cluster.trace(
-                    "skew", "delta dropped after failed flushes",
-                    view=chain[0], key=chain[1], folded=delta.folded)
+            if delta.attempts >= FLUSH_MAX_ATTEMPTS:
+                self._drop(chain, delta, "delta dropped after failed flushes")
             else:
                 newer = self._deltas.get(chain)
                 if newer is not None:
@@ -586,12 +579,8 @@ class SkewService:
         except ViewError:
             # Structural wedge (e.g. a chain cycle mid-repair): treat
             # like attempt exhaustion — scrubber territory.
-            self.dropped_records += delta.folded
-            self.dropped_chains += 1
             self.flush_failures += 1
-            self.manager.freshness.note_wound(
-                chain[0], chain[1], delta.first_appended_at,
-                "flush-dropped")
+            self._drop(chain, delta, "delta dropped on structural error")
         else:
             self.flushed_records += delta.folded
             self.flushed_chains += 1
@@ -600,3 +589,14 @@ class SkewService:
         finally:
             del self._flushing[chain]
             gate.succeed()
+
+    def _drop(self, chain: ChainKey, delta: PendingDelta,
+              message: str) -> None:
+        """Give up on a delta: the chain becomes a freshness wound left
+        to the scrubber, like an abandoned eager propagation."""
+        self.dropped_records += delta.folded
+        self.dropped_chains += 1
+        self.manager.freshness.note_wound(
+            chain[0], chain[1], delta.first_appended_at, "flush-dropped")
+        self.cluster.trace("skew", message, view=chain[0], key=chain[1],
+                           folded=delta.folded)

@@ -107,8 +107,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(message_loss=1.0)
     with pytest.raises(ValueError):
-        ClusterConfig(rpc_timeout=0)
-    with pytest.raises(ValueError):
         ClusterConfig(max_pending_propagations=0)
     with pytest.raises(ValueError):
         ClusterConfig(propagation_concurrency="bogus")
@@ -116,8 +114,6 @@ def test_config_validation():
         ClusterConfig(propagation_pipeline="inline")
     with pytest.raises(ValueError):
         ClusterConfig(cores_per_node=0)
-    with pytest.raises(ValueError):
-        ClusterConfig(lock_service_latency=-1)
     with pytest.raises(ValueError):
         ClusterConfig(propagation_max_rounds=0)
 

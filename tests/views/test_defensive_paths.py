@@ -102,8 +102,7 @@ def test_propagation_gives_up_loudly_after_max_rounds():
     after propagation_max_rounds, not hang."""
     from repro.errors import ProcessError
 
-    cluster = Cluster(make_config(propagation_max_rounds=3,
-                                  propagation_retry_backoff=0.1))
+    cluster = Cluster(make_config(propagation_max_rounds=3))
     cluster.create_table("T")
     cluster.create_view(VIEW)
     manager = cluster.view_manager

@@ -2,15 +2,13 @@
 
 A fixed retry interval re-collides every contending propagation on the
 same lock/chain state each round.  The replacement schedule doubles from
-``propagation_retry_backoff`` up to ``propagation_retry_backoff_cap``
-and jitters each delay into ``[d/2, d)`` from the deterministic
-``view-propagation`` RNG stream — so retries spread out, while identical
+``RETRY_BACKOFF_MS`` up to ``RETRY_BACKOFF_CAP_MS`` and jitters each
+delay into ``[d/2, d)`` from the deterministic ``view-propagation`` RNG
+stream — so retries spread out, while identical
 seeds still replay identically.
 """
 
-import pytest
-
-from repro.cluster import ClusterConfig
+from repro.views.manager import RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS
 
 from tests.repair.conftest import build
 
@@ -21,37 +19,29 @@ def _delays(manager, rounds):
 
 def test_backoff_is_jittered_within_round_bounds():
     manager = build().view_manager
-    base = manager.config.propagation_retry_backoff
-    cap = manager.config.propagation_retry_backoff_cap
     for _ in range(50):
         delay = manager._retry_delay(1)
-        assert base / 2 <= delay < base
+        assert RETRY_BACKOFF_MS / 2 <= delay < RETRY_BACKOFF_MS
     for _ in range(50):
         delay = manager._retry_delay(100)  # far past the cap
-        assert cap / 2 <= delay < cap
+        assert RETRY_BACKOFF_CAP_MS / 2 <= delay < RETRY_BACKOFF_CAP_MS
 
 
 def test_backoff_grows_exponentially_until_cap():
-    manager = build(propagation_retry_backoff=1.0,
-                    propagation_retry_backoff_cap=8.0).view_manager
-    # Strip the jitter by normalising into the nominal (pre-jitter)
-    # delay: delay / jitter_factor is the deterministic schedule.
+    manager = build().view_manager
+    # jitter maps the nominal delay d -> d * [0.5, 1.0); check each
+    # round's delay against its nominal bounds.
     nominal = []
-    for rounds in range(1, 8):
+    for rounds in range(1, 10):
         delay = manager._retry_delay(rounds)
-        # jitter maps d -> d * [0.5, 1.0); recover d's bounds instead of
-        # the exact value.
-        nominal.append((delay, min(2.0 ** (rounds - 1), 8.0)))
+        nominal.append((delay, min(RETRY_BACKOFF_MS * 2.0 ** (rounds - 1),
+                                   RETRY_BACKOFF_CAP_MS)))
     for delay, expected in nominal:
         assert expected / 2 <= delay < expected
-    # Rounds 5+ are all capped at 8.0.
-    assert all(4.0 <= delay < 8.0 for delay, expected in nominal[4:])
-
-
-def test_zero_base_disables_backoff():
-    manager = build(propagation_retry_backoff=0.0).view_manager
-    assert manager._retry_delay(1) == 0.0
-    assert manager._retry_delay(50) == 0.0
+    # 0.5 doubles to the 8.0 cap at round 5; later rounds stay capped.
+    assert [expected for _, expected in nominal[:5]] == \
+        [0.5, 1.0, 2.0, 4.0, 8.0]
+    assert all(4.0 <= delay < 8.0 for delay, _ in nominal[4:])
 
 
 def test_successive_retries_desynchronize():
@@ -68,12 +58,6 @@ def test_backoff_is_deterministic_across_identical_clusters():
     assert first == second
 
 
-def test_cap_below_base_rejected():
-    with pytest.raises(ValueError):
-        ClusterConfig(propagation_retry_backoff=2.0,
-                      propagation_retry_backoff_cap=1.0)
-
-
 def test_contending_hot_key_workload_converges():
     """End-to-end: many same-key writers force guess retries; the
     jittered schedule must still converge the view (and the backoff cap
@@ -81,8 +65,7 @@ def test_contending_hot_key_workload_converges():
     from repro.views import check_view
     from tests.repair.conftest import VIEW
 
-    cluster = build(propagation_retry_backoff=0.2,
-                    propagation_retry_backoff_cap=2.0)
+    cluster = build()
     client = cluster.sync_client()
     for i in range(12):
         client.put("T", "hot", {"vk": f"g{i % 2}", "m": i}, w=2,

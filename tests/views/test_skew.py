@@ -182,7 +182,6 @@ def test_cache_capacity_zero_is_disabled():
     dict(skew_promote_threshold=2.0, skew_demote_threshold=3.0),
     dict(skew_decay_half_life=0.0),
     dict(skew_fold_interval=0.0),
-    dict(skew_flush_max_attempts=0),
     dict(view_cache_capacity=-1),
 ])
 def test_config_rejects_bad_skew_knobs(overrides):
@@ -236,6 +235,37 @@ def test_fold_skips_intermediate_stale_rows():
     assert "t11" in entries
     assert len(entries) < 12
     assert check_view(cluster, VIEW) == []
+
+
+def test_structural_flush_error_drops_delta(monkeypatch):
+    """A flush that hits a ViewError is not retried: the delta is
+    dropped with the same bookkeeping and trace as attempt exhaustion,
+    and the chain is left to the scrubber as a flush-dropped wound."""
+    from repro.errors import ViewError
+    import repro.repair.repairer as repairer
+
+    def wedged(manager, coordinator, view, key):
+        raise ViewError("chain cycle")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(repairer, "repropagate_row", wedged)
+    cluster = build(**ADAPTIVE)
+    cluster.enable_tracing()
+    drive(cluster, [(0, {"vk": f"g{i % 3}", "m": f"v{i}"}, 100 + i)
+                    for i in range(30)])
+
+    stats = cluster.view_manager.skew_stats()
+    assert stats["folded_records"] > 0
+    assert stats["dropped_records"] == stats["folded_records"]
+    assert stats["flushed_records"] == 0
+    assert stats["dropped_chains"] >= 1
+    assert stats["pending_chains"] == 0
+    wound = cluster.view_manager.freshness._wounds[("V", 0)]
+    assert wound.provenance == "flush-dropped"
+    dropped = [event for event in cluster.tracer.events("skew")
+               if event.message.startswith("delta dropped")]
+    assert len(dropped) == stats["dropped_chains"]
+    assert {event.fields["key"] for event in dropped} == {0}
 
 
 def test_read_your_writes_through_fold():
