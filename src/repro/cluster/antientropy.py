@@ -9,14 +9,14 @@ repair miss (e.g. hints lost because their holder also failed).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Set
+from typing import TYPE_CHECKING, Dict, Hashable
 
 from repro.cluster.messages import (
     RPC_TIMEOUT_MS,
     RepairReadRequest,
     WriteRequest,
 )
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.common.records import Cell, ColumnName, merge_row, stale_cells
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -45,24 +45,15 @@ def repair_row(cluster: "Cluster", table: str, key: Hashable):
             responses.append(outcome[event])
     merged: Dict[ColumnName, Cell] = {}
     for response in responses:
-        for column, cell in response.cells.items():
-            if column not in merged or cell_wins(cell, merged[column]):
-                merged[column] = cell
+        merge_row(merged, response.cells)
     repaired = 0
-    by_id = {response.node_id: response for response in responses}
-    for replica in replicas:
-        response = by_id.get(replica.node_id)
-        if response is None:
-            continue
-        missing = {
-            column: cell for column, cell in merged.items()
-            if column not in response.cells
-            or cell_wins(cell, response.cells[column])
-        }
+    for response in responses:
+        missing = stale_cells(merged, response.cells)
         if missing:
             repaired += 1
-            write = WriteRequest(table, key, missing)
-            ack = cluster.network.rpc(replica.node_id, replica, write)
+            replica = cluster.node(response.node_id)
+            ack = cluster.network.rpc(replica.node_id, replica,
+                                      WriteRequest(table, key, missing))
             timer = cluster.env.timeout(RPC_TIMEOUT_MS)
             yield cluster.env.any_of([ack, timer])
     return repaired
@@ -75,12 +66,8 @@ def repair_table(cluster: "Cluster", table: str):
     system would walk Merkle trees; a full sweep is equivalent for our
     in-memory scale).  Returns the number of rows that needed repair.
     """
-    keys: Set[Hashable] = set()
-    for node in cluster.nodes:
-        if not node.is_down and node.engine.has_table(table):
-            keys.update(node.engine.keys(table))
     repaired_rows = 0
-    for key in sorted(keys, key=repr):
+    for key in sorted(cluster.alive_keys(table), key=repr):
         repaired = yield cluster.env.process(repair_row(cluster, table, key))
         if repaired:
             repaired_rows += 1

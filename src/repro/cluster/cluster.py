@@ -9,7 +9,8 @@ non-simulation-aware code such as the examples.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.cluster.antientropy import AntiEntropyService, repair_row, repair_table
 from repro.cluster.config import ClusterConfig
@@ -18,7 +19,7 @@ from repro.cluster.hints import HintService
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
 from repro.common.hashing import TokenRing
-from repro.common.records import ColumnName
+from repro.common.records import Cell, ColumnName, merge_row
 from repro.errors import ClusterError
 from repro.index import IndexSchema
 from repro.sim.kernel import Environment
@@ -240,6 +241,37 @@ class Cluster:
         """Unblock traffic between nodes ``a`` and ``b``."""
         self.network.heal(a, b)
 
+    # -- converged state ----------------------------------------------------------
+
+    def alive_keys(self, table: str) -> Set[Hashable]:
+        """The union of ``table``'s row keys across every alive node."""
+        keys: Set[Hashable] = set()
+        for node in self.nodes:
+            if not node.is_down and node.engine.has_table(table):
+                keys.update(node.engine.keys(table))
+        return keys
+
+    def merged_rows(self, table: str, keys: Optional[Iterable[Hashable]] = None
+                    ) -> Dict[Hashable, Dict[ColumnName, Cell]]:
+        """``table`` LWW-merged across every node's local storage.
+
+        Test-time introspection of the *converged* state, not a protocol
+        read: down nodes count too.  With ``keys=None`` every stored key
+        appears, even a row with no cells; otherwise only the given keys
+        some node stores a cell for.
+        """
+        wanted = None if keys is None else set(keys)
+        rows: Dict[Hashable, Dict[ColumnName, Cell]] = {}
+        for node in self.nodes:
+            engine = node.engine
+            if not engine.has_table(table):
+                continue
+            for key in engine.keys(table) if wanted is None else wanted:
+                cells = engine.read_row(table, key)
+                if cells or wanted is None:
+                    merge_row(rows.setdefault(key, {}), cells)
+        return rows
+
     # -- repair -------------------------------------------------------------------------
 
     def repair_row(self, table: str, key: Hashable):
@@ -249,17 +281,6 @@ class Cluster:
     def repair_table(self, table: str):
         """Anti-entropy over a whole table; returns the process."""
         return self.env.process(repair_table(self, table))
-
-    def merkle_repair_table(self, table: str, depth: int = 6):
-        """Merkle-tree anti-entropy over a table; returns the process.
-
-        Exchanges hash trees per replica pair and transfers only rows in
-        divergent buckets — far cheaper than :meth:`repair_table` when
-        replicas mostly agree (see :mod:`repro.cluster.merkle`).
-        """
-        from repro.cluster.merkle import merkle_repair
-
-        return self.env.process(merkle_repair(self, table, depth))
 
     def start_anti_entropy(self, tables, interval: float) -> AntiEntropyService:
         """Start periodic background repair of ``tables``."""

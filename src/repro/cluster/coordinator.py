@@ -13,7 +13,7 @@ handoff.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.cluster.messages import (
     RPC_TIMEOUT_MS,
@@ -23,7 +23,13 @@ from repro.cluster.messages import (
     ReadRowRequest,
     WriteRequest,
 )
-from repro.common.records import Cell, ColumnName, cell_wins, merge_cells
+from repro.common.records import (
+    Cell,
+    ColumnName,
+    merge_cells,
+    merge_row,
+    stale_cells,
+)
 from repro.common.quorum import validate_quorum
 from repro.errors import QuorumError, UnavailableError
 from repro.sim.kernel import Environment, Event
@@ -68,11 +74,6 @@ class ResponseCollector:
         else:
             self._waiters.append((count, event))
         return event
-
-    @property
-    def response_count(self) -> int:
-        """Responses received so far."""
-        return len(self.responses)
 
     # -- internals -----------------------------------------------------------
 
@@ -137,18 +138,33 @@ class Coordinator:
 
     # -- scatter primitives ----------------------------------------------------
 
-    def _replicas(self, table: str, key: Hashable):
-        return self.cluster.replicas_for(table, key)
+    def _scatter(self, table: str, key: Hashable, request, required: int,
+                 kind: str, hint: Optional[WriteRequest] = None
+                 ) -> ResponseCollector:
+        """Send ``request`` to every alive replica of ``key``.
 
-    def _alive(self, replicas) -> List:
-        return [replica for replica in replicas if not replica.is_down]
-
-    def _check_available(self, alive_count: int, required: int,
-                         total: int) -> None:
-        if alive_count < required:
+        Raises :class:`UnavailableError` if fewer than ``required`` (a
+        ``kind`` quorum) replicas are alive.  Writes pass ``hint``: down
+        replicas get it parked (when hinted handoff is on) instead of a
+        message.
+        """
+        replicas = self.cluster.replicas_for(table, key)
+        required = validate_quorum(required, len(replicas), kind=kind)
+        alive = [replica for replica in replicas if not replica.is_down]
+        if len(alive) < required:
             raise UnavailableError(
-                f"only {alive_count}/{total} replicas alive, need {required}",
-                required=required, received=alive_count)
+                f"only {len(alive)}/{len(replicas)} replicas alive, "
+                f"need {required}", required=required, received=len(alive))
+        if hint is not None and self.config.hinted_handoff:
+            for replica in replicas:
+                if replica.is_down:
+                    self.cluster.hints.add(self.node.node_id,
+                                           replica.node_id, hint)
+        node_id = self.node.node_id
+        rpc = self.cluster.network.rpc
+        return ResponseCollector(
+            self.env, [rpc(node_id, replica, request) for replica in alive],
+            RPC_TIMEOUT_MS)
 
     def scatter_write(self, table: str, key: Hashable,
                       cells: Dict[ColumnName, Cell],
@@ -159,64 +175,35 @@ class Coordinator:
         :class:`UnavailableError` if fewer than ``required`` replicas are
         alive.
         """
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="W")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
         request = WriteRequest(table, key, dict(cells))
-        if self.config.hinted_handoff:
-            for replica in replicas:
-                if replica.is_down:
-                    self.cluster.hints.add(self.node.node_id,
-                                           replica.node_id, request)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
+        return self._scatter(table, key, request, required, "W", hint=request)
 
     def scatter_read(self, table: str, key: Hashable,
                      columns: Tuple[ColumnName, ...],
                      required: int) -> ResponseCollector:
         """Broadcast a column read to all alive replicas of ``key``."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="R")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = ReadRequest(table, key, tuple(columns))
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
+        return self._scatter(table, key,
+                             ReadRequest(table, key, tuple(columns)),
+                             required, "R")
 
     def scatter_read_row(self, table: str, key: Hashable,
                          required: int) -> ResponseCollector:
         """Broadcast a whole-row read to all alive replicas of ``key``."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="R")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = ReadRowRequest(table, key)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
+        return self._scatter(table, key, ReadRowRequest(table, key),
+                             required, "R")
 
     def scatter_get_then_put(self, table: str, key: Hashable,
                              cells: Dict[ColumnName, Cell],
                              read_columns: Tuple[ColumnName, ...],
                              required: int) -> ResponseCollector:
-        """Broadcast the combined Get-then-Put of Algorithm 1 (optimized)."""
-        replicas = self._replicas(table, key)
-        required = validate_quorum(required, len(replicas), kind="W")
-        alive = self._alive(replicas)
-        self._check_available(len(alive), required, len(replicas))
-        request = GetThenPutRequest(table, key, dict(cells), tuple(read_columns))
-        if self.config.hinted_handoff:
-            write_only = WriteRequest(table, key, dict(cells))
-            for replica in replicas:
-                if replica.is_down:
-                    self.cluster.hints.add(self.node.node_id,
-                                           replica.node_id, write_only)
-        events = [self.cluster.network.rpc(self.node.node_id, replica, request)
-                  for replica in alive]
-        return ResponseCollector(self.env, events, RPC_TIMEOUT_MS)
+        """Broadcast the combined Get-then-Put of Algorithm 1 (optimized).
+
+        Down replicas are hinted the write half only.
+        """
+        request = GetThenPutRequest(table, key, dict(cells),
+                                    tuple(read_columns))
+        return self._scatter(table, key, request, required, "W",
+                             hint=WriteRequest(table, key, dict(cells)))
 
     # -- high-level operations ---------------------------------------------------
 
@@ -233,9 +220,15 @@ class Coordinator:
         yield self.node.charge_cpu(self.config.service.coordinator)
         collector = self.scatter_read(table, key, columns, r)
         responses = yield collector.wait(r)
-        merged = self._merge_columns(columns, responses)
+        merged = {column: merge_cells(response.cells.get(column)
+                                      for response in responses)
+                  for column in columns}
         if self.config.read_repair:
-            self._maybe_read_repair(table, key, columns, responses, merged)
+            # A NULL winner (never written on any responder) has nothing
+            # to repair.
+            self._read_repair(table, key, responses, {
+                column: cell for column, cell in merged.items()
+                if cell.timestamp >= 0})
         return merged
 
     def get_row(self, table: str, key: Hashable, r: int):
@@ -245,11 +238,9 @@ class Coordinator:
         responses = yield collector.wait(r)
         merged: Dict[ColumnName, Cell] = {}
         for response in responses:
-            for column, cell in response.cells.items():
-                if column not in merged or cell_wins(cell, merged[column]):
-                    merged[column] = cell
+            merge_row(merged, response.cells)
         if self.config.read_repair and merged:
-            self._maybe_row_read_repair(table, key, responses, merged)
+            self._read_repair(table, key, responses, merged)
         return merged
 
     def index_read(self, table: str, column: ColumnName, value,
@@ -273,12 +264,7 @@ class Coordinator:
         merged: Dict[Hashable, Dict[ColumnName, Cell]] = {}
         for response in responses:
             for key, cells in response.matches.items():
-                target = merged.setdefault(key, {})
-                for col, cell in cells.items():
-                    if cell is None:
-                        continue
-                    if col not in target or cell_wins(cell, target[col]):
-                        target[col] = cell
+                merge_row(merged.setdefault(key, {}), cells)
         # Drop keys whose indexed column no longer matches after merging
         # (a fragment can be momentarily stale relative to a peer replica).
         result: Dict[Hashable, Dict[ColumnName, Cell]] = {}
@@ -292,45 +278,13 @@ class Coordinator:
 
     # -- helpers -------------------------------------------------------------------
 
-    @staticmethod
-    def _merge_columns(columns: Tuple[ColumnName, ...],
-                       responses) -> Dict[ColumnName, Cell]:
-        merged: Dict[ColumnName, Cell] = {}
-        for column in columns:
-            merged[column] = merge_cells(
-                response.cells.get(column) for response in responses)
-        return merged
-
-    def _maybe_row_read_repair(self, table: str, key: Hashable, responses,
-                               merged: Dict[ColumnName, Cell]) -> None:
-        """Wide-row variant of read repair: push winners any responding
-        replica was missing or held stale."""
+    def _read_repair(self, table: str, key: Hashable, responses,
+                     winners: Dict[ColumnName, Cell]) -> None:
+        """Push ``winners`` to every responding replica that was missing
+        one or held it stale."""
         repair_cells: Dict[ColumnName, Cell] = {}
         for response in responses:
-            for column, winner in merged.items():
-                local = response.cells.get(column)
-                if local is None or cell_wins(winner, local):
-                    repair_cells[column] = winner
-        if not repair_cells:
-            return
-        try:
-            self.scatter_write(table, key, repair_cells, required=1)
-        except UnavailableError:  # pragma: no cover - nothing alive
-            pass
-
-    def _maybe_read_repair(self, table: str, key: Hashable,
-                           columns: Tuple[ColumnName, ...], responses,
-                           merged: Dict[ColumnName, Cell]) -> None:
-        """Push merged winners to replicas that returned stale cells."""
-        repair_cells: Dict[ColumnName, Cell] = {}
-        for response in responses:
-            for column in columns:
-                winner = merged[column]
-                if winner.timestamp < 0:
-                    continue
-                local = response.cells.get(column)
-                if local is None or cell_wins(winner, local):
-                    repair_cells[column] = winner
+            repair_cells.update(stale_cells(winners, response.cells))
         if not repair_cells:
             return
         try:

@@ -15,7 +15,8 @@ tie-break rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (Any, Dict, Hashable, Iterable, Iterator, Mapping,
+                    Optional, Tuple)
 
 __all__ = [
     "NULL_TIMESTAMP",
@@ -24,6 +25,8 @@ __all__ = [
     "ColumnName",
     "cell_wins",
     "merge_cells",
+    "merge_row",
+    "stale_cells",
 ]
 
 # The paper: "A NULL timestamp is assumed to be smaller than all non-NULL
@@ -112,6 +115,28 @@ def merge_cells(cells: Iterable[Optional[Cell]]) -> Cell:
         if winner is None or cell_wins(cell, winner):
             winner = cell
     return winner if winner is not None else Cell.null()
+
+
+def merge_row(target: Dict[ColumnName, Cell],
+              cells: Mapping[ColumnName, Optional[Cell]]) -> None:
+    """LWW-merge one replica's ``cells`` into ``target`` in place.
+
+    ``None`` cells (never written on that replica) are skipped.  Merging
+    every replica's row, in any order, gives each column its
+    :func:`merge_cells` winner.
+    """
+    for column, cell in cells.items():
+        if cell is not None and cell_wins(cell, target.get(column)):
+            target[column] = cell
+
+
+def stale_cells(winners: Mapping[ColumnName, Cell],
+                local: Mapping[ColumnName, Optional[Cell]]
+                ) -> Dict[ColumnName, Cell]:
+    """The ``winners`` a replica holding ``local`` is missing or holds
+    stale: exactly the cells a repair must write back to it."""
+    return {column: cell for column, cell in winners.items()
+            if cell_wins(cell, local.get(column))}
 
 
 class Row:

@@ -22,14 +22,13 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.common.records import Cell, ColumnName, cell_wins
+from repro.common.records import Cell, ColumnName
 from repro.views.definition import INIT_COLUMN, ViewDefinition
 from repro.views.model import ReferenceViewModel
 from repro.views.versioned import NULL_VIEW_KEY, VersionedEntry, split_wide_row
 
 __all__ = [
     "merged_view_state",
-    "merged_view_rows",
     "entries_for_base_key",
     "collect_entries",
     "live_entries",
@@ -42,40 +41,7 @@ __all__ = [
 def merged_view_state(cluster, view: ViewDefinition
                       ) -> Dict[Any, Dict[ColumnName, Cell]]:
     """LWW-merge the view table across every node's local storage."""
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(view.name):
-            continue
-        for key in node.engine.keys(view.name):
-            cells = node.engine.read_row(view.name, key)
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
-    return rows
-
-
-def merged_view_rows(cluster, view: ViewDefinition, view_keys
-                     ) -> Dict[Any, Dict[ColumnName, Cell]]:
-    """LWW-merge only the given view-row keys across every node.
-
-    A targeted variant of :func:`merged_view_state` for callers (like the
-    stale-row collector) that already know which rows they care about.
-    """
-    wanted = set(view_keys)
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(view.name):
-            continue
-        for key in wanted:
-            cells = node.engine.read_row(view.name, key)
-            if not cells:
-                continue
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
-    return rows
+    return cluster.merged_rows(view.name)
 
 
 def state_digest(cluster, table: str) -> str:
@@ -89,16 +55,7 @@ def state_digest(cluster, table: str) -> str:
     (eager-vs-skew-adaptive) tests and the scenario fuzzer's determinism
     checks both rest on this.
     """
-    rows: Dict[Any, Dict[ColumnName, Cell]] = {}
-    for node in cluster.nodes:
-        if not node.engine.has_table(table):
-            continue
-        for key in node.engine.keys(table):
-            cells = node.engine.read_row(table, key)
-            target = rows.setdefault(key, {})
-            for column, cell in cells.items():
-                if column not in target or cell_wins(cell, target[column]):
-                    target[column] = cell
+    rows = cluster.merged_rows(table)
     digest = hashlib.sha256()
     for key in sorted(rows, key=repr):
         digest.update(repr(key).encode("utf-8"))
@@ -141,7 +98,7 @@ def entries_for_base_key(cluster, view: ViewDefinition, view_keys,
                          base_key: Hashable) -> Dict[Any, VersionedEntry]:
     """One base row's versioned entries across the given view-row keys."""
     entries: Dict[Any, VersionedEntry] = {}
-    for view_key, cells in merged_view_rows(cluster, view, view_keys).items():
+    for view_key, cells in cluster.merged_rows(view.name, view_keys).items():
         for entry in split_wide_row(view_key, cells):
             if entry.base_key != base_key or entry.next_cell.is_null:
                 continue

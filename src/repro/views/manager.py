@@ -729,11 +729,7 @@ class ViewManager:
             raise ValueError("batch_pause must be non-negative")
         view = self.view(view_name)
         coordinator = self.cluster.coordinator(coordinator_id)
-        keys = set()
-        for node in self.cluster.nodes:
-            if not node.is_down and node.engine.has_table(view.base_table):
-                keys.update(node.engine.keys(view.base_table))
-        ordered = sorted(keys, key=repr)
+        ordered = sorted(self.cluster.alive_keys(view.base_table), key=repr)
         report = BackfillReport()
         skipped: List[Hashable] = []
         full = min(self.config.replication_factor, self.config.nodes)

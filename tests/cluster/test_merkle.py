@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.antientropy import repair_row
 from repro.cluster.merkle import (
     MerkleTree,
     build_tree,
@@ -205,3 +206,68 @@ def test_single_alive_node_is_noop():
     for node in cluster.nodes[1:]:
         node.mark_down()
     assert run_repair(cluster) == (0, 0)
+
+
+def outage_diverged_cluster():
+    """Every row updated while node 2 was down is stale on exactly that
+    replica, so rows and replicas repaired agree."""
+    cluster = build_cluster(read_repair=False, hinted_handoff=False)
+    client = cluster.sync_client(coordinator_id=0)
+    for i in range(20):
+        client.put("T", i, {"a": f"v{i}"}, w=3)
+    client.settle()
+    cluster.node(2).mark_down()
+    for i in range(10):
+        client.put("T", i, {"a": f"updated{i}"}, w=2)
+    client.settle()
+    cluster.recover_node(2)
+    cluster.run_until_idle()
+    return cluster
+
+
+def replica_states(cluster):
+    return [{key: node.engine.read_row("T", key)
+             for key in node.engine.keys("T")} for node in cluster.nodes]
+
+
+def test_merkle_and_full_sweep_repair_the_same_replicas():
+    merkle_cluster = outage_diverged_cluster()
+    sweep_cluster = outage_diverged_cluster()
+    assert replica_states(merkle_cluster) == replica_states(sweep_cluster)
+    transferred, _ = run_repair(merkle_cluster)
+    process = sweep_cluster.repair_table("T")
+    repaired_rows = sweep_cluster.env.run(until=process)
+    sweep_cluster.run_until_idle()
+    assert transferred == repaired_rows > 0
+    assert merkle_cluster.merged_rows("T") == sweep_cluster.merged_rows("T")
+    assert replica_states(merkle_cluster) == replica_states(sweep_cluster)
+
+
+def test_merkle_row_exchange_costs_one_repair_row():
+    """After the tree exchanges, repairing one divergent key takes the
+    simulated time of one repair_row: the replica reads are scattered,
+    not sent one round trip after another."""
+    def diverged():
+        cluster = build_cluster(read_repair=False)
+        client = cluster.sync_client()
+        for i in range(10):
+            client.put("T", i, {"a": i}, w=3)
+        client.settle()
+        victim = cluster.replicas_for("T", 7)[0]
+        victim.engine.apply("T", 7, {"a": Cell.make("newer", 10 ** 18)})
+        return cluster
+
+    merkle_cluster = diverged()
+    start = merkle_cluster.env.now
+    process = merkle_cluster.env.process(merkle_repair(merkle_cluster, "T"))
+    transferred, comparisons = merkle_cluster.env.run(until=process)
+    # Fixed 0.1 ms replica links: each tree exchange is one 0.2 ms round
+    # trip.
+    after_trees = merkle_cluster.env.now - start - comparisons * 0.2
+
+    row_cluster = diverged()
+    start = row_cluster.env.now
+    process = row_cluster.env.process(repair_row(row_cluster, "T", 7))
+    repaired = row_cluster.env.run(until=process)
+    assert transferred == repaired == 2
+    assert after_trees == pytest.approx(row_cluster.env.now - start)

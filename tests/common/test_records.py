@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import NULL_TIMESTAMP, Cell, Row, cell_wins, merge_cells
+from repro.common import (
+    NULL_TIMESTAMP,
+    Cell,
+    Row,
+    cell_wins,
+    merge_cells,
+    merge_row,
+    stale_cells,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +143,64 @@ def test_merge_ignores_missing_replicas():
 def test_merge_empty_returns_null():
     assert merge_cells([]) == Cell.null()
     assert merge_cells([None, None]) == Cell.null()
+
+
+# ---------------------------------------------------------------------------
+# Whole-row merge and repair diff
+# ---------------------------------------------------------------------------
+
+CELLS = st.builds(
+    Cell.make,
+    st.one_of(st.none(), st.text(max_size=3), st.integers(-3, 3)),
+    st.integers(min_value=0, max_value=20),
+)
+REPLICA_ROWS = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "c", ("k", "m")]), CELLS),
+    min_size=1, max_size=5)
+
+
+@given(
+    rows=st.lists(
+        st.dictionaries(st.sampled_from(["a", "b", "c", ("k", "m")]),
+                        st.one_of(st.none(), CELLS)),
+        min_size=1, max_size=5),
+    order=st.randoms(use_true_random=False),
+)
+def test_merge_row_matches_merge_cells_in_any_order(rows, order):
+    """Folding replica rows with merge_row, in any order, gives each
+    column its merge_cells winner; None cells never create a column."""
+    shuffled = list(rows)
+    order.shuffle(shuffled)
+    merged = {}
+    for row in shuffled:
+        merge_row(merged, row)
+    columns = {column for row in rows for column, cell in row.items()
+               if cell is not None}
+    assert merged == {column: merge_cells(row.get(column) for row in rows)
+                      for column in columns}
+
+
+@given(rows=REPLICA_ROWS)
+def test_stale_cells_repair_converges_every_replica(rows):
+    """Writing each replica its stale_cells makes every replica equal
+    the merged row, after which nothing is stale."""
+    merged = {}
+    for row in rows:
+        merge_row(merged, row)
+    replicas = [Row(row) for row in rows]
+    for replica in replicas:
+        for column, cell in stale_cells(merged, dict(replica.items())).items():
+            assert replica.apply(column, cell)
+    for replica in replicas:
+        assert dict(replica.items()) == merged
+        assert stale_cells(merged, dict(replica.items())) == {}
+
+
+def test_stale_cells_names_missing_and_older_cells_only():
+    new, old = Cell.make("new", 9), Cell.make("old", 1)
+    winners = {"a": new, "b": new, "c": new}
+    assert stale_cells(winners, {"a": new, "b": old, "c": None}) == {
+        "b": new, "c": new}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.views import (
     check_view,
     merged_view_state,
 )
-from repro.views.invariants import entries_for_base_key, merged_view_rows
+from repro.views.invariants import entries_for_base_key
 from repro.views.versioned import PHASE_ROW, PHASE_STALE, view_timestamp
 
 from tests.views.conftest import make_config
@@ -140,7 +140,7 @@ def test_merged_view_rows_targets_specific_keys():
     client.put("T", "k1", {"vk": "a"})
     client.put("T", "k2", {"vk": "b"})
     client.settle()
-    rows = merged_view_rows(cluster, VIEW, ["a"])
+    rows = cluster.merged_rows(VIEW.name, {"a"})
     assert list(rows) == ["a"]
 
 
